@@ -2,8 +2,10 @@
 """Train the reduced (desk-scale) model on the real recordings CSV.
 
 Reduced architecture: d_model=64, 4 heads of 16, 2 blocks, d_pwff=256.
-Twenty epochs take on the order of fifteen minutes on a laptop CPU and
-should reach test accuracy >= 0.95.
+Twenty epochs should reach test accuracy >= 0.95. On 2 vCPUs (Intel Xeon)
+with 1 BLAS thread they take about 34 minutes: an epoch is 230 training
+steps of about 0.40 s and one evaluation of the 1,840 test rows of about
+11 s, the medians of the perfbench train_desk and eval_desk workloads.
 
 Usage:
     python3 scripts/run_desk_scale.py path/to/recordings.csv [--epochs 20]

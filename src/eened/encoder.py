@@ -131,6 +131,15 @@ def mhsa_init(stream: SeedStream, d_model: int, n_heads: int, head_dim: int,
     )
 
 
+def _attention(xn: Tensor, qh: Tensor, kh: Tensor, cfg: ModelConfig) -> Tensor:
+    """One head's attention matrix A_h = softmax(Q_h K_h^T / sqrt(D / H)) over
+    the normalized input. The scale is applied to Q_h (T x head_dim) rather
+    than to the T x T scores: the same product, on fewer elements."""
+    q = scale(matmul(xn, qh), 1.0 / math.sqrt(cfg.d_model / cfg.n_heads))
+    k = matmul(xn, kh)
+    return softmax_rows(matmul(q, transpose_last2(k)))
+
+
 def mhsa_forward(x: Tensor, p: MhsaParams, cfg: ModelConfig,
                  training: bool = False,
                  rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -142,15 +151,8 @@ def mhsa_forward(x: Tensor, p: MhsaParams, cfg: ModelConfig,
     positional encoding, so the map is timestep-permutation-equivariant.
     """
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
-    inv_scale = 1.0 / math.sqrt(cfg.d_model / cfg.n_heads)
-    heads = []
-    for qh, kh, vh in zip(p.q, p.k, p.v):
-        q = matmul(xn, qh)
-        k = matmul(xn, kh)
-        v = matmul(xn, vh)
-        scores = scale(matmul(q, transpose_last2(k)), inv_scale)
-        attn = softmax_rows(scores)
-        heads.append(matmul(attn, v))
+    heads = [matmul(_attention(xn, qh, kh, cfg), matmul(xn, vh))
+             for qh, kh, vh in zip(p.q, p.k, p.v)]
     out = matmul(concat_last(heads), p.o)
     return dropout(out, cfg.dropout_p, training, rng)
 
@@ -159,14 +161,7 @@ def attention_weights(x: Tensor, p: MhsaParams, cfg: ModelConfig) -> list[np.nda
     """The per-head A_h matrices for a given input (diagnostic path; shares
     the forward's definition of the scores)."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
-    inv_scale = 1.0 / math.sqrt(cfg.d_model / cfg.n_heads)
-    mats = []
-    for qh, kh in zip(p.q, p.k):
-        q = matmul(xn, qh)
-        k = matmul(xn, kh)
-        attn = softmax_rows(scale(matmul(q, transpose_last2(k)), inv_scale))
-        mats.append(attn.data)
-    return mats
+    return [_attention(xn, qh, kh, cfg).data for qh, kh in zip(p.q, p.k)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -287,6 +286,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise ShapeError(f"matmul: batch extents differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
+    if bd.ndim == 2:
+        # A weight product: fold a's leading axes into the rows of one GEMM,
+        # so the weight gradient is one GEMM too rather than B summed ones.
+        a2 = ad.reshape(-1, ad.shape[-1])
+
+        def bwd(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
+
+        out = (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
+        return _make("matmul", (a, b), out, bwd)
 
     def bwd(g):
         ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
@@ -397,20 +407,58 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid_data(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)) as 0.5*tanh(x/2) + 0.5, in one fresh buffer of x's
+    dtype. tanh saturates to +-1 instead of overflowing, so large |x| gives
+    exactly 0 or 1."""
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = expit(a.data)
-    return _make("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
+    s = _sigmoid_data(a.data)
+
+    def bwd(g):
+        d = np.subtract(1.0, s, dtype=np.result_type(s, g))  # g * s * (1 - s)
+        d *= s
+        d *= g
+        return (d,)
+
+    return _make("sigmoid", (a,), s, bwd)
 
 
 def swish(a: Tensor) -> Tensor:
     """Elementwise x * sigmoid(x)."""
-    s = expit(a.data)
-    out = a.data * s
+    x = a.data
+    out = _sigmoid_data(x)
+    out *= x
 
     def bwd(g):
-        return (g * (s + out * (1.0 - s)),)  # s + x*s*(1-s)
+        # sigmoid(x) is recomputed here so that the forward fills one buffer
+        s = _sigmoid_data(x)
+        d = np.subtract(1.0, s, dtype=np.result_type(s, g))  # g * s * (1 + x*(1-s))
+        d *= x
+        d += 1.0
+        d *= s
+        d *= g
+        return (d,)
 
     return _make("swish", (a,), out, bwd)
+
+
+def _row_sum(u: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept as a length-1 axis (einsum's plain
+    accumulation is faster than ``sum``'s pairwise one on short rows)."""
+    return np.einsum("...i->...", u)[..., None]
+
+
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of matching last-axis rows, kept as a length-1 axis,
+    without materializing u * v."""
+    return np.einsum("...i,...i->...", u, v)[..., None]
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -419,13 +467,14 @@ def softmax_rows(a: Tensor) -> Tensor:
     Every output row is nonnegative and sums to 1; adding a constant to a row
     leaves its softmax unchanged up to rounding of the shifted input.
     """
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= _row_sum(y)
 
     def bwd(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - inner) * y,)
+        d = g - _row_dot(g, y)  # (g - <g, y>) * y
+        d *= y
+        return (d,)
 
     return _make("softmax", (a,), y, bwd)
 
@@ -437,23 +486,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} do not match feature dim {d}")
-    xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
-    gdat = gamma.data
+    xd, gdat = x.data, gamma.data
+    xhat = xd - _row_sum(xd) / d
+    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + eps)
+    xhat *= inv
+    out = xhat * gdat
+    out += beta.data
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        dxhat = g * gdat
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = (dxhat - m1 - xhat * m2) * inv
+        g2 = g.reshape(-1, d)
+        dgamma = np.einsum("ni,ni->i", g2, xhat.reshape(-1, d))
+        dbeta = g2.sum(axis=0)
+        dx = g * gdat  # dL/dxhat, then (dxhat - m1 - xhat*m2) * inv in place
+        m2 = _row_dot(dx, xhat) / d
+        dx -= _row_sum(dx) / d
+        dx -= xhat * m2
+        dx *= inv
         return dx, dgamma, dbeta
 
     return _make("layer_norm", (x, gamma, beta), out, bwd)
@@ -468,6 +516,11 @@ def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[1],):
         raise ShapeError(f"pointwise conv: bias {b.shape} does not match weight {w.shape}")
     return add(matmul(x, w), b)
+
+
+# Elements in one slab of conv1d_depthwise's forward: 512 KB of float32, so
+# the running sum and the product buffer fit together in a 1 MB L2 cache.
+_SLAB_ELEMS = 1 << 17
 
 
 def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
@@ -495,16 +548,27 @@ def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
     pad_width = [(0, 0)] * (xd.ndim - 2) + [(pad, pad), (0, 0)]
     xp = np.pad(xd, pad_width)
     out = np.broadcast_to(b.data, xd.shape).copy()
-    for j in range(kk):
-        out += xp[..., j:j + t, :] * kd[:, j]
+    # Sum the K taps over slabs of whole samples, so that the running sum and
+    # the product stay in cache across the K passes.
+    xp3 = xp.reshape((-1,) + xp.shape[-2:])
+    out3 = out.reshape((-1,) + out.shape[-2:])
+    rows = max(1, _SLAB_ELEMS // (t * c))
+    prod = np.empty((min(rows, len(out3)), t, c), dtype=out.dtype)
+    for i in range(0, len(out3), rows):
+        acc, src = out3[i:i + rows], xp3[i:i + rows]
+        buf = prod[:len(acc)]
+        for j in range(kk):
+            np.multiply(src[:, j:j + t], kd[:, j], out=buf)
+            acc += buf
 
     def bwd(g):
         dxp = np.zeros_like(xp)
         dk = np.empty_like(kd)
         lead = tuple(range(g.ndim - 1))
+        g3 = g.reshape((-1, t, c))
         for j in range(kk):
             dxp[..., j:j + t, :] += g * kd[:, j]
-            dk[:, j] = (g * xp[..., j:j + t, :]).sum(axis=lead)
+            dk[:, j] = np.einsum("btc,btc->c", g3, xp3[:, j:j + t])
         dx = np.ascontiguousarray(dxp[..., pad:pad + t, :])
         db = g.sum(axis=lead)
         return dx, dk, db

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, stream discipline, and end-to-end
 flows on the built-in synthetic dataset."""
 
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import time
 
 import pytest
 
+import eened
 from eened.cli import main
 from eened.data import TRAIN, make_toy_dataset
 from eened.model import load_checkpoint
@@ -197,8 +199,13 @@ class TestPredictCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports eened from where this process found it, which
+        # pytest's pythonpath setting puts on sys.path but not in the env
+        src = os.path.dirname(os.path.dirname(eened.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         result = subprocess.run(
             [sys.executable, "-m", "eened.cli", "gradcheck", "--module", "pwff"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert result.returncode == 0
         assert result.stdout.startswith("pwff: pass")

@@ -179,9 +179,11 @@ class TestBroadcasting:
         assert_allclose(c.grad, a.data.sum())
 
     def test_rank3_matmul_matches_einsum(self):
-        a, b = rand(2, 3, 4), rand(2, 4, 5)
-        got = matmul(Tensor(a), Tensor(b)).data
-        assert_allclose(got, np.einsum("bij,bjk->bik", a, b), rtol=1e-12)
+        # batched @ batched, and batched @ weight (one folded GEMM)
+        for b_shape, spec in (((2, 4, 5), "bij,bjk->bik"), ((4, 5), "bij,jk->bik")):
+            a, b = rand(2, 3, 4), rand(*b_shape)
+            got = matmul(Tensor(a), Tensor(b)).data
+            assert_allclose(got, np.einsum(spec, a, b), rtol=1e-12)
 
     def test_rank3_by_rank2_matmul_grad(self):
         a = Tensor(rand(2, 3, 4), requires_grad=True)
@@ -408,3 +410,26 @@ class TestClip:
             backward(sum_all(y))
         assert_array_equal(y.data, [-1.0, -0.5, 0.0, 0.5, 1.0])
         assert_array_equal(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
+
+
+class TestFloat32Kernels:
+    def test_dtype_saturation_and_precision(self):
+        x = RNG.normal(0.0, 3.0, size=(2, 5, 8)).astype(np.float32)
+        gamma, beta = np.ones(8, np.float32), np.zeros(8, np.float32)
+        # a silent upcast to float64 would double the memory traffic
+        for y in (sigmoid(Tensor(x)), swish(Tensor(x)), softmax_rows(Tensor(x)),
+                  layer_norm(Tensor(x), Tensor(gamma), Tensor(beta))):
+            assert y.dtype == np.float32
+
+        big = np.array([-1e4, -100.0, 100.0, 1e4], dtype=np.float32)
+        with np.errstate(over="raise", invalid="raise"):
+            s = sigmoid(Tensor(big)).data
+            w = swish(Tensor(big)).data
+        assert np.all(np.isfinite(s)) and np.all(np.isfinite(w))
+        assert np.all((s >= 0.0) & (s <= 1.0))
+
+        grid = np.linspace(-40.0, 40.0, 1601).astype(np.float32)
+        got = sigmoid(Tensor(grid)).data
+        with mpmath.workdps(40):
+            want = [float(1 / (1 + mpmath.exp(-mpmath.mpf(float(v))))) for v in grid]
+        assert_allclose(got, want, rtol=0, atol=1e-7)
