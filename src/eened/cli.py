@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration error, 2 data error (missing or
 malformed file, wrong feature count), 3 other runtime error, 4 gradient-check
-failure. Results go to stdout, diagnostics to stderr.
+failure, 5 non-finite training loss (no checkpoint is written). Results go
+to stdout, diagnostics to stderr.
 
 Options may also come from a ``key=value`` config file (--config); explicit
 flags win over the file, the file wins over defaults.
@@ -26,7 +27,7 @@ from .data import (DataError, Dataset, load_dataset, make_toy_dataset,
 from .model import (CheckpointError, load_checkpoint, model_forward_batch,
                     model_init, save_checkpoint)
 from .tensor import ConfigError, Tensor
-from .train import evaluate, gradcheck_suite, train
+from .train import NonFiniteLossError, evaluate, gradcheck_suite, train
 
 MODEL_FIELDS = [f.name for f in fields(ModelConfig)]
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
@@ -282,6 +283,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             PermissionError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
+    except NonFiniteLossError as e:
+        print(f"training diverged: {e}", file=sys.stderr)
+        return 5
     except Exception as e:  # noqa: BLE001 - the CLI boundary maps everything
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

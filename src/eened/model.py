@@ -10,6 +10,9 @@ little-endian. Round-tripping a float32 model is bitwise lossless.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -20,7 +23,7 @@ from .encoder import (EncoderBlockParams, encoder_block_forward,
                       encoder_block_init, uniform_init)
 from .rng import SeedStream
 from .tensor import (ContractError, ParamStore, ShapeError, Tensor, add,
-                     matmul, mean_axis, reshape, sigmoid, swish)
+                     matmul, mean_axis, recording, reshape, sigmoid, swish)
 
 MAGIC = b"EENEDCK1"
 
@@ -97,14 +100,56 @@ def model_init(cfg: ModelConfig, dtype: str | np.dtype = "float32") -> EenedMode
     return m
 
 
+# Cache budget of the untaped eval forward, in elements of one activation
+# array: 2**18 float32 elements are 1 MB, half the L2 of one core of the
+# machine the benchmark figures come from (Intel Xeon, 2 MB L2 per core);
+# blocks of 3 to 5 desk-config rows were the fastest. A block also holds at
+# least EVAL_BLOCK_MIN_STEPS time steps, so that every weight product is a
+# GEMM of at least that many rows: with the default config one 178-step row
+# per block was slower than two, whose widest activation overflows the
+# budget.
+EVAL_BLOCK_ELEMS = 1 << 18
+EVAL_BLOCK_MIN_STEPS = 256
+
+
+def eval_block_rows(cfg: ModelConfig) -> int:
+    """Rows per block of the untaped eval forward: the most rows whose widest
+    activation, t_in x max(d_pwff, 2 d_model, t_in) elements per row (the
+    pwff expansion, the conv module's GLU input or one head's scores), fits
+    EVAL_BLOCK_ELEMS, but at least EVAL_BLOCK_MIN_STEPS / t_in rows."""
+    widest = cfg.t_in * max(cfg.d_pwff, 2 * cfg.d_model, cfg.t_in)
+    return max(math.ceil(EVAL_BLOCK_MIN_STEPS / cfg.t_in),
+               EVAL_BLOCK_ELEMS // widest)
+
+
 def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
                         rng: np.random.Generator | None = None) -> Tensor:
-    """Probabilities for a (B, t_in) batch of segments, returned as (B,)."""
+    """Probabilities for a (B, t_in) batch of segments, returned as (B,).
+
+    The caller's batch size only sets how rows are gathered. When no tape
+    is recording and ``training`` is False, the rows are independent, so the
+    encoder runs over blocks of ``eval_block_rows`` rows whose activations
+    stay in cache; the probabilities match the row-by-row forward's to float
+    rounding (BLAS may order a product's sums differently for another row
+    count). Taped or training forwards run the whole batch in one pass, so
+    the tape graph and the dropout stream do not depend on the block size.
+    """
     if x.ndim != 2 or x.shape[1] != m.config.t_in:
         raise ShapeError(
             f"expected input of shape (B, {m.config.t_in}), got {x.shape}")
     if x.dtype != m.dtype:
         x = Tensor(x.data.astype(m.dtype))
+    if training or recording():
+        return _forward(m, x, training, rng)
+    rows = eval_block_rows(m.config)
+    out = np.empty(x.shape[0], dtype=m.dtype)
+    for i in range(0, len(out), rows):
+        out[i:i + rows] = _forward(m, Tensor(x.data[i:i + rows]), False, None).data
+    return Tensor(out)
+
+
+def _forward(m: EenedModel, x: Tensor, training: bool,
+             rng: np.random.Generator | None) -> Tensor:
     b = x.shape[0]
     h = reshape(x, (b, m.config.t_in, 1))
     h = add(matmul(h, m.embed_w), m.embed_b)
@@ -132,20 +177,29 @@ def model_forward(m: EenedModel, x: Tensor, training: bool = False,
 
 def save_checkpoint(m: EenedModel, path) -> None:
     """Write the model to ``path``. Payloads are little-endian float32, so
-    saving a float64 model rounds its values."""
-    chunks = [MAGIC]
-    cfg_text = model_config_to_text(m.config).encode("utf-8")
-    chunks.append(struct.pack("<I", len(cfg_text)))
-    chunks.append(cfg_text)
-    for name, tensor in named_parameters(m):
-        name_b = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<B", tensor.ndim))
-        chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        chunks.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    saving a float64 model rounds its values. The bytes go to a temporary
+    file in the same directory, which replaces ``path`` only once complete,
+    so a failed save leaves any previous file at ``path`` as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            cfg_text = model_config_to_text(m.config).encode("utf-8")
+            fh.write(struct.pack("<I", len(cfg_text)) + cfg_text)
+            for name, tensor in named_parameters(m):
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack(f"<I{len(name_b)}sB{tensor.ndim}I",
+                                     len(name_b), name_b, tensor.ndim,
+                                     *tensor.shape))
+                fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -77,6 +77,11 @@ class Tape:
         return len(self.nodes)
 
 
+def recording() -> bool:
+    """Whether a tape is active, so that ops record nodes."""
+    return _ACTIVE is not None and _ACTIVE.active
+
+
 def _leaf_id(tape: Tape, t: "Tensor") -> int:
     if t._tape is tape:
         return t._tape_id

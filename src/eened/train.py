@@ -3,6 +3,7 @@ finite-difference gradient checker."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,6 +20,14 @@ from .tensor import (ContractError, ParamStore, ShapeError, Tape, Tensor,
                      add, backward, clip, log, mean_all, mul, neg)
 
 BCE_EPS = 1e-7
+
+
+class NonFiniteLossError(ArithmeticError):
+    """A training step produced a NaN or infinite loss."""
+
+    def __init__(self, epoch: int, step: int, loss: float):
+        super().__init__(f"non-finite loss {loss} at epoch {epoch}, step {step}")
+        self.epoch, self.step, self.loss = epoch, step, loss
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +105,9 @@ def evaluate(m: EenedModel, dataset: Dataset, tag: int = TEST,
              threshold: float = 0.5, batch_size: int = 256) -> Metrics:
     """Deterministic eval-mode confusion counts at the given threshold.
 
-    The batch size only chunks the work; it does not affect the counts.
+    ``batch_size`` only sets how many rows are gathered per call of
+    ``model_forward_batch``, which runs them in cache-sized blocks; it does
+    not affect the counts.
     """
     tp = fp = tn = fn = 0
     for batch in batches(dataset, tag, batch_size, shuffle_seed=None):
@@ -180,7 +191,8 @@ def train(m: EenedModel, dataset: Dataset, cfg: TrainConfig, *,
     """Shuffled mini-batch training. Evaluates every ``eval_every`` epochs
     (always on the last), keeps the best-accuracy parameters, and restores
     them before returning. Bitwise deterministic for a fixed (seed, config,
-    dataset)."""
+    dataset). Raises NonFiniteLossError at the first step whose loss is NaN
+    or infinite, before that step's update."""
     stream = SeedStream(cfg.seed)
     state = init_adam(m.params)
     logs: list[EpochLog] = []
@@ -192,15 +204,19 @@ def train(m: EenedModel, dataset: Dataset, cfg: TrainConfig, *,
         drop_rng = epoch_stream.child("dropout").generator()
         shuffle_seed = epoch_stream.child("shuffle").key()
         loss_sum = 0.0
-        for batch in batches(dataset, TRAIN, cfg.batch_size, shuffle_seed):
+        for step, batch in enumerate(
+                batches(dataset, TRAIN, cfg.batch_size, shuffle_seed), start=1):
             m.params.zero_grad()
             with Tape():
                 p = model_forward_batch(m, Tensor(batch.x), training=True,
                                         rng=drop_rng)
                 loss = bce_loss(p, batch.y)
                 backward(loss)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NonFiniteLossError(epoch, step, value)
             adam_step(m.params, state, cfg)
-            loss_sum += loss.item() * batch.x.shape[0]
+            loss_sum += value * batch.x.shape[0]
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             metrics = evaluate(m, dataset, eval_tag, threshold)
             entry = EpochLog(epoch=epoch, loss=loss_sum / n_train, metrics=metrics)

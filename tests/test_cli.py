@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import eened
@@ -46,6 +47,17 @@ class TestTrainCommand:
                          stdout, flags=re.M)
         assert re.search(r"^epoch=1 loss=", stdout, flags=re.M)
         assert "checkpoint written" in stderr
+
+    def test_diverged_run_exits_5_without_checkpoint(self, capsys, tmp_path):
+        out = tmp_path / "m.ckpt"
+        with np.errstate(all="ignore"):
+            code, _, stderr = run_cli(
+                capsys, "train", "--toy", "--out", str(out), "--lr", "1e30",
+                "--epochs", "2")
+        assert code == 5
+        assert "non-finite loss" in stderr and "epoch 1, step 2" in stderr
+        assert not out.exists()
+        assert os.listdir(tmp_path) == []
 
     def test_divisibility_config_error(self, capsys, tmp_path):
         code, stdout, stderr = run_cli(

@@ -1,5 +1,7 @@
 """Model assembly, forward contracts, and checkpoint serialization."""
 
+import errno
+import os
 import struct
 
 import numpy as np
@@ -8,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import eened.model
 from eened.config import ModelConfig, model_config_to_text
 from eened.model import (MAGIC, CheckpointError, CheckpointMagicError,
                          CheckpointShapeError, CheckpointTruncatedError,
-                         load_checkpoint, model_forward, model_forward_batch,
-                         model_init, named_parameters, save_checkpoint)
-from eened.tensor import ConfigError, ShapeError, Tensor
+                         eval_block_rows, load_checkpoint, model_forward,
+                         model_forward_batch, model_init, named_parameters,
+                         save_checkpoint)
+from eened.tensor import ConfigError, ShapeError, Tape, Tensor
 from eened.train import toy_model_config
 
 
@@ -110,6 +114,90 @@ class TestForward:
         assert_array_equal(p64, p32)
 
 
+def blocked_model(dtype="float32"):
+    # t_in=128: the widest activation is one head's 128x128 scores, so an
+    # untaped eval forward runs blocks of 2**18 // 128**2 = 16 rows
+    return model_init(toy_model_config(t_in=128, n_blocks=1), dtype=dtype)
+
+
+class TestBlockedEval:
+    def test_block_rows_follow_the_config(self):
+        desk = ModelConfig(d_model=64, n_heads=4, head_dim=16, n_blocks=2,
+                           d_pwff=256)
+        assert eval_block_rows(desk) == 5  # 2**18 // (178 * 256)
+        assert eval_block_rows(ModelConfig()) == 2  # ceil(256 / 178) steps
+        assert eval_block_rows(blocked_model().config) == 16
+
+    @pytest.mark.parametrize("dtype, atol", [("float32", 1e-6), ("float64", 1e-12)])
+    @pytest.mark.parametrize("n", [0, 5, 32, 37])
+    def test_matches_row_by_row_forward(self, dtype, atol, n):
+        # no rows, below one block, two whole blocks, two blocks and a rest;
+        # BLAS may order a product's sums differently for another row count,
+        # so rows agree to float rounding rather than bitwise
+        m = blocked_model(dtype)
+        x = np.random.default_rng(n).normal(size=(n, m.config.t_in)).astype(dtype)
+        blocked = model_forward_batch(m, Tensor(x)).data
+        rows = np.array([model_forward(m, Tensor(row)).item() for row in x])
+        assert blocked.shape == (n,) and blocked.dtype == np.dtype(dtype)
+        assert_allclose(blocked, rows, rtol=0, atol=atol)
+
+    def test_only_untaped_eval_is_blocked(self, monkeypatch):
+        m = blocked_model()
+        x = Tensor(np.random.default_rng(0).normal(
+            size=(37, m.config.t_in)).astype(np.float32))
+        seen = []
+        real = eened.model.encoder_block_forward
+
+        def spy(h, *args):
+            seen.append(h.shape[0])
+            return real(h, *args)
+
+        monkeypatch.setattr(eened.model, "encoder_block_forward", spy)
+        model_forward_batch(m, x)
+        assert seen == [16, 16, 5]
+        seen.clear()
+        with Tape():
+            model_forward_batch(m, x)
+        model_forward_batch(m, x, training=True, rng=np.random.default_rng(0))
+        assert seen == [37, 37]
+
+    def test_tape_node_count_does_not_depend_on_batch(self):
+        m = blocked_model()
+        counts = []
+        for b in (1, 64):
+            with Tape() as tape:
+                model_forward_batch(m, Tensor(np.zeros((b, m.config.t_in),
+                                                       dtype=np.float32)))
+            counts.append(len(tape))
+        assert counts[0] == counts[1]
+
+
+class _FullDisk:
+    """A file that accepts ``room`` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        view = memoryview(data).cast("B")
+        if len(view) > self.room:
+            self.fh.write(view[:self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(view)
+        return self.fh.write(view)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         m = toy_model(seed=21)
@@ -200,3 +288,17 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(toy_model(seed=1), path)
+        before = path.read_bytes()
+        real_open = open
+        monkeypatch.setattr(
+            eened.model, "open",
+            lambda *args, **kwargs: _FullDisk(real_open(*args, **kwargs), 100),
+            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(toy_model(seed=2), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.ckpt"]

@@ -19,9 +19,9 @@ from eened.model import model_forward_batch, model_init, named_parameters
 from eened.rng import SeedStream
 from eened.tensor import (ContractError, ParamStore, Tape, Tensor, backward,
                           _make)
-from eened.train import (AdamState, EpochLog, Metrics, adam_step, bce_loss,
-                         evaluate, gradcheck, gradcheck_suite, init_adam,
-                         toy_model_config, train)
+from eened.train import (AdamState, EpochLog, Metrics, NonFiniteLossError,
+                         adam_step, bce_loss, evaluate, gradcheck,
+                         gradcheck_suite, init_adam, toy_model_config, train)
 
 
 class TestBceLoss:
@@ -320,6 +320,32 @@ class TestTrainLoop:
         m, ds, cfg = training_setup(epochs=3, eval_every=2)
         _, logs = train(m, ds, cfg, eval_tag=TRAIN)
         assert [l.epoch for l in logs] == [2, 3]
+
+    def test_non_finite_loss_stops_at_its_step(self):
+        # the first update at lr 1e30 moves every weight by about 1e30, so
+        # the second step's forward overflows and its loss is NaN
+        m, ds, cfg = training_setup(lr=1e30)
+        after_first = []
+        real_adam_step = eened.train.adam_step
+
+        def spy(params, state, cfg):
+            real_adam_step(params, state, cfg)
+            after_first.append(params.clone_data())
+
+        eened.train.adam_step = spy
+        try:
+            with np.errstate(all="ignore"), \
+                    pytest.raises(NonFiniteLossError) as info:
+                train(m, ds, cfg, eval_tag=TRAIN)
+        finally:
+            eened.train.adam_step = real_adam_step
+        assert (info.value.epoch, info.value.step) == (1, 2)
+        assert not math.isfinite(info.value.loss)
+        assert "epoch 1, step 2" in str(info.value)
+        # the failing step applied no update
+        assert len(after_first) == 1
+        for name, t in m.params.items():
+            assert_array_equal(t.data, after_first[0][name])
 
 
 class TestGradcheckHarness:
