@@ -2,13 +2,12 @@
 single-channel EEG segments, on a minimal reverse-mode autodiff core."""
 
 from .config import ModelConfig, TrainConfig
-from .data import (DataError, Dataset, batches, binarize_labels, load_cache,
-                   load_dataset, make_toy_dataset, normalize, parse_csv,
-                   save_cache, split)
+from .data import (DataError, Dataset, batches, load_dataset, make_toy_dataset,
+                   normalize, read_csv, split)
 from .encoder import (ConvModuleParams, EncoderBlockParams, MhsaParams,
                       PwffParams, conv_module_forward, encoder_block_forward,
                       mhsa_forward, pwff_forward)
-from .model import (CheckpointError, EenedModel, load_checkpoint, model_forward,
+from .model import (CheckpointError, EenedModel, load_checkpoint,
                     model_forward_batch, model_init, named_parameters,
                     save_checkpoint)
 from .rng import SeedStream
@@ -21,14 +20,13 @@ from .train import (AdamState, EpochLog, Metrics, adam_step, bce_loss,
 
 __all__ = [
     "ModelConfig", "TrainConfig",
-    "DataError", "Dataset", "batches", "binarize_labels", "load_cache",
-    "load_dataset", "make_toy_dataset", "normalize", "parse_csv", "save_cache",
-    "split",
+    "DataError", "Dataset", "batches", "load_dataset", "make_toy_dataset",
+    "normalize", "read_csv", "split",
     "ConvModuleParams", "EncoderBlockParams", "MhsaParams", "PwffParams",
     "conv_module_forward", "encoder_block_forward", "mhsa_forward",
     "pwff_forward",
-    "CheckpointError", "EenedModel", "load_checkpoint", "model_forward",
-    "model_forward_batch", "model_init", "named_parameters", "save_checkpoint",
+    "CheckpointError", "EenedModel", "load_checkpoint", "model_forward_batch",
+    "model_init", "named_parameters", "save_checkpoint",
     "SeedStream",
     "ConfigError", "ContractError", "ParamStore", "ShapeError", "Tape",
     "Tensor", "backward",

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
 import sys
 import time
 from dataclasses import fields
 from typing import Optional
 
-import numpy as np
-
 from .config import ModelConfig, TrainConfig
 from .data import (DataError, Dataset, load_dataset, make_toy_dataset,
-                   normalize, save_cache, sniff_csv, split)
-from .model import (CheckpointError, load_checkpoint, model_forward_batch,
-                    model_init, save_checkpoint)
+                   normalize, read_csv, read_floats, split)
+from .model import (CheckpointError, atomic_write, load_checkpoint,
+                    model_forward_batch, model_init, save_checkpoint)
 from .tensor import ConfigError, Tensor
 from .train import NonFiniteLossError, evaluate, gradcheck_suite, train
 
@@ -108,8 +105,6 @@ def _load_split_dataset(args, mcfg: ModelConfig, split_seed: int) -> Dataset:
 def cmd_train(args) -> int:
     mcfg, tcfg, split_seed = _build_configs(args, args.toy)
     dataset = _load_split_dataset(args, mcfg, split_seed)
-    if args.cache:
-        save_cache(dataset, args.cache)
     model = model_init(mcfg)
     started = time.monotonic()
     log_lines: list[str] = []
@@ -127,9 +122,9 @@ def cmd_train(args) -> int:
                + f"train_seconds={time.monotonic() - started:.1f}\n")
     print(summary, end="")
     log_path = args.log or (args.out + ".log")
-    with open(log_path, "w") as fh:
-        fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
-        fh.write(summary)
+    with atomic_write(log_path) as fh:
+        fh.write(("\n".join(log_lines) + ("\n" if log_lines else "")
+                  + summary).encode("utf-8"))
     print(f"checkpoint written to {args.out}", file=sys.stderr)
     return 0
 
@@ -156,46 +151,22 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _predict_rows(args, t_in: int) -> np.ndarray:
+def cmd_predict(args) -> int:
+    model = load_checkpoint(args.checkpoint)
+    t_in = model.config.t_in
     if args.features:
-        values = [v for v in args.features.replace(",", " ").split() if v]
         try:
-            row = np.array([float(v) for v in values], dtype=np.float32)
+            rows = read_floats([",".join(args.features.replace(",", " ").split())])
         except ValueError as e:
             raise DataError(f"inline feature list: {e}") from None
-        rows = row.reshape(1, -1)
     elif args.csv:
-        has_header, id_column = sniff_csv(args.csv)
-        parsed = []
-        with open(args.csv, newline="") as fh:
-            for lineno, cells in enumerate(csv.reader(fh), start=1):
-                if not cells or (has_header and lineno == 1):
-                    continue
-                body = cells[1:] if id_column else cells
-                # a trailing 1..5 label column is tolerated and dropped
-                if len(body) == t_in + 1:
-                    body = body[:-1]
-                try:
-                    parsed.append([float(v) for v in body])
-                except ValueError:
-                    raise DataError(f"{args.csv}:{lineno}: non-numeric value") from None
-        if not parsed:
-            raise DataError(f"{args.csv}: no data rows")
-        widths = {len(r) for r in parsed}
-        if widths != {t_in}:
-            raise DataError(
-                f"expected {t_in} features per segment, file has {sorted(widths)}")
-        rows = np.array(parsed, dtype=np.float32)
+        rows = read_csv(args.csv)
+        if rows.shape[1] == t_in + 1:
+            rows = rows[:, :-1]  # a trailing label column is dropped
     else:
         raise ConfigError("predict needs --csv or --features")
     if rows.shape[1] != t_in:
         raise DataError(f"expected {t_in} features per segment, got {rows.shape[1]}")
-    return rows
-
-
-def cmd_predict(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    rows = _predict_rows(args, model.config.t_in)
     rows = (rows - args.norm_mean) / args.norm_std
     probs = model_forward_batch(model, Tensor(rows), training=False).data
     for p in probs:
@@ -239,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use the built-in synthetic dataset")
     p_train.add_argument("--out", default="model.ckpt", help="checkpoint output path")
     p_train.add_argument("--log", help="log file (default: <out>.log)")
-    p_train.add_argument("--cache", help="also write the split dataset cache here")
     p_train.add_argument("--threshold", type=float, default=0.5)
     _add_config_flags(p_train)
     p_train.set_defaults(func=cmd_train)

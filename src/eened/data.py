@@ -11,7 +11,9 @@ counts with seeded stratified draws.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -29,18 +31,9 @@ TEST_POS = TEST_COUNT - TEST_NEG  # 379
 TRAIN_POS = 1472
 TRAIN_NEG = TRAIN_COUNT - TRAIN_POS  # 5888
 
-CACHE_MAGIC = b"EENEDDS1"
-
 
 class DataError(RuntimeError):
     """Input data is missing, malformed, or insufficient."""
-
-
-@dataclass
-class RawRecord:
-    id: Optional[str]
-    features: np.ndarray  # (t_in,) float32
-    label5: int  # 1..5
 
 
 @dataclass
@@ -73,86 +66,104 @@ class Batch:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+# an id column is read as this placeholder and dropped: numpy then still
+# checks every row's column count, which usecols would not do for long rows
+_ID_PLACEHOLDER = {0: lambda cell: 0.0}
 
-def _parse_float(cell: str) -> Optional[float]:
+
+def read_floats(source, usecols=None, converters=None) -> np.ndarray:
+    """The one place where CSV cells become numbers: every row of ``source``
+    (a path or an iterable of lines) as a float32 matrix, each cell parsed as
+    a double and rounded to float32; ``#`` is an ordinary character. Raises
+    ValueError for a non-numeric cell or a changed column count; no rows
+    give a (0, 1) matrix."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(source, delimiter=",", dtype=np.float32,
+                          comments=None, quotechar='"', usecols=usecols,
+                          converters=converters, ndmin=2)
+
+
+def _is_numeric(line: str, usecols=None) -> bool:
     try:
-        return float(cell)
+        read_floats([line], usecols=usecols)
     except ValueError:
-        return None
-
-
-def parse_csv(path, has_header: bool, id_column: bool) -> list[RawRecord]:
-    """One RawRecord per data row; the first data row fixes the column count.
-    Malformed rows are reported with their 1-based line number."""
-    records: list[RawRecord] = []
-    n_cols = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if has_header and lineno == 1:
-                continue
-            if n_cols is None:
-                n_cols = len(row)
-                if n_cols < 2 + (1 if id_column else 0):
-                    raise DataError(f"{path}:{lineno}: too few columns ({n_cols})")
-            if len(row) != n_cols:
-                raise DataError(
-                    f"{path}:{lineno}: expected {n_cols} columns, found {len(row)}")
-            rid = row[0] if id_column else None
-            body = row[1:] if id_column else row
-            feats = np.empty(len(body) - 1, dtype=np.float32)
-            for i, cell in enumerate(body[:-1]):
-                v = _parse_float(cell)
-                if v is None:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric feature value {cell!r}")
-                feats[i] = v
-            label_f = _parse_float(body[-1])
-            if label_f is None or not label_f.is_integer() or not 1 <= label_f <= 5:
-                raise DataError(
-                    f"{path}:{lineno}: label must be an integer in 1..5, got {body[-1]!r}")
-            records.append(RawRecord(rid, feats, int(label_f)))
-    if not records:
-        raise DataError(f"{path}: no data rows")
-    return records
+        return False
+    return True
 
 
 def sniff_csv(path) -> tuple[bool, bool]:
-    """Detect (has_header, id_column) by whether the first cells parse as
-    numbers."""
+    """Detect (has_header, id_column): the first non-blank line is a header
+    when one of its cells is not a number, and the first data cell is an id
+    when it is not a number."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        has_header = any(_parse_float(c) is None for c in first)
-        probe = next(reader, first) if has_header else first
-    id_column = _parse_float(probe[0]) is None
-    return has_header, id_column
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        has_header = not _is_numeric(first)
+        probe = next(lines, first) if has_header else first
+    return has_header, not _is_numeric(probe, usecols=[0])
 
 
-def binarize_labels(records: list[RawRecord]) -> np.ndarray:
-    """Label 1 -> positive (1); labels 2-5 -> negative (0)."""
-    return np.fromiter((1 if r.label5 == 1 else 0 for r in records),
-                       dtype=np.uint8, count=len(records))
+def _data_lines(path) -> Iterator[tuple[int, str]]:
+    """(1-based file line number, text) of each data row: the lines that are
+    not blank, without the header."""
+    has_header, _ = sniff_csv(path)
+    with open(path, newline="") as fh:
+        lines = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
+        yield from islice(lines, int(has_header), None)
 
 
-def records_to_dataset(records: list[RawRecord], t_in: int) -> Dataset:
-    widths = {r.features.shape[0] for r in records}
-    if widths != {t_in}:
-        raise DataError(
-            f"expected {t_in} features per row, file has {sorted(widths)}")
-    x = np.stack([r.features for r in records]).astype(np.float32)
-    y = binarize_labels(records)
-    return Dataset(x=x, y=y, split=np.full(len(records), UNUSED, dtype=np.uint8))
+def _read_error(path, first_col: int, cause: ValueError) -> DataError:
+    """Find the line that made the whole-file read fail by reading the data
+    lines one at a time: the first row fixes the column count."""
+    width = None
+    for lineno, line in _data_lines(path):
+        cells = next(csv.reader([line]))
+        width = width or len(cells)
+        if len(cells) != width:
+            return DataError(
+                f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
+        cols = range(first_col, width)
+        if not _is_numeric(line, cols):
+            bad = next((cells[j] for j in cols if not _is_numeric(line, [j])),
+                       line.strip())
+            return DataError(f"{path}:{lineno}: non-numeric feature value {bad!r}")
+    return DataError(f"{path}: {cause}")
+
+
+def read_csv(path) -> np.ndarray:
+    """Every data row of a CSV file as one (rows, columns) float32 matrix,
+    without the header and the id column (see ``sniff_csv``); blank lines
+    are skipped. Errors name the 1-based file line."""
+    _, id_column = sniff_csv(path)
+    try:
+        m = read_floats((line for _, line in _data_lines(path)),
+                        converters=_ID_PLACEHOLDER if id_column else None)
+    except ValueError as e:
+        raise _read_error(path, int(id_column), e) from None
+    if m.shape[0] == 0:
+        raise DataError(f"{path}: no data rows")
+    return m[:, 1:] if id_column else m
 
 
 def load_dataset(path, t_in: int) -> Dataset:
-    """Sniff the dialect, parse, and binarize. Split is not yet assigned."""
-    has_header, id_column = sniff_csv(path)
-    return records_to_dataset(parse_csv(path, has_header, id_column), t_in)
+    """Read the CSV, check the labels and binarize them: label 1 is the
+    positive class, labels 2-5 the negative. Split is not yet assigned."""
+    m = read_csv(path)
+    labels = m[:, -1]
+    bad = np.flatnonzero(~np.isin(labels, np.arange(1, 6)))
+    if bad.size:
+        lineno, line = next(islice(_data_lines(path), int(bad[0]), None))
+        raise DataError(f"{path}:{lineno}: label must be an integer in 1..5, "
+                        f"got {next(csv.reader([line]))[-1]!r}")
+    if m.shape[1] - 1 != t_in:
+        raise DataError(
+            f"expected {t_in} features per row, file has {[m.shape[1] - 1]}")
+    return Dataset(x=np.ascontiguousarray(m[:, :-1]),
+                   y=(labels == 1).astype(np.uint8),
+                   split=np.full(m.shape[0], UNUSED, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -213,48 +224,6 @@ def batches(dataset: Dataset, tag: int, batch_size: int,
     for start in range(0, idx.size, batch_size):
         part = idx[start:start + batch_size]
         yield Batch(x=dataset.x[part], y=dataset.y[part], indices=part)
-
-
-# ---------------------------------------------------------------------------
-# binary cache
-# ---------------------------------------------------------------------------
-
-
-def save_cache(dataset: Dataset, path) -> None:
-    """Row-major binary cache: magic, u32 N, u32 t_in, f32 features, u8
-    labels, u8 split tags (all little-endian)."""
-    import struct
-
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<II", dataset.n, dataset.t_in))
-        fh.write(np.ascontiguousarray(dataset.x, dtype="<f4").tobytes())
-        fh.write(dataset.y.astype(np.uint8).tobytes())
-        fh.write(dataset.split.astype(np.uint8).tobytes())
-
-
-def load_cache(path) -> Dataset:
-    import struct
-
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise DataError(f"{path}: not a dataset cache (bad magic)")
-    pos = len(CACHE_MAGIC)
-    if len(buf) < pos + 8:
-        raise DataError(f"{path}: truncated cache header")
-    n, t_in = struct.unpack_from("<II", buf, pos)
-    pos += 8
-    expect = pos + 4 * n * t_in + n + n
-    if len(buf) != expect:
-        raise DataError(f"{path}: cache is {len(buf)} bytes, expected {expect}")
-    x = np.frombuffer(buf, dtype="<f4", count=n * t_in, offset=pos)
-    x = x.reshape(n, t_in).astype(np.float32)
-    pos += 4 * n * t_in
-    y = np.frombuffer(buf, dtype=np.uint8, count=n, offset=pos).copy()
-    pos += n
-    tags = np.frombuffer(buf, dtype=np.uint8, count=n, offset=pos).copy()
-    return Dataset(x=x, y=y, split=tags)
 
 
 # ---------------------------------------------------------------------------

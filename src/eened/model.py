@@ -161,38 +161,22 @@ def _forward(m: EenedModel, x: Tensor, training: bool,
     return reshape(sigmoid(z), (b,))
 
 
-def model_forward(m: EenedModel, x: Tensor, training: bool = False,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """Probability for one segment of length t_in, as a scalar tensor."""
-    if x.ndim != 1 or x.shape[0] != m.config.t_in:
-        raise ShapeError(f"expected input of shape ({m.config.t_in},), got {x.shape}")
-    p = model_forward_batch(m, reshape(x, (1, x.shape[0])), training, rng)
-    return reshape(p, ())
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(m: EenedModel, path) -> None:
-    """Write the model to ``path``. Payloads are little-endian float32, so
-    saving a float64 model rounds its values. The bytes go to a temporary
-    file in the same directory, which replaces ``path`` only once complete,
-    so a failed save leaves any previous file at ``path`` as it was."""
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a binary file for writing in place of ``path``. The bytes go to a
+    temporary file in the same directory, which is synced and replaces
+    ``path`` only once the block completes; on any failure it is removed, so
+    any previous file at ``path`` stays as it was."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            cfg_text = model_config_to_text(m.config).encode("utf-8")
-            fh.write(struct.pack("<I", len(cfg_text)) + cfg_text)
-            for name, tensor in named_parameters(m):
-                name_b = name.encode("utf-8")
-                fh.write(struct.pack(f"<I{len(name_b)}sB{tensor.ndim}I",
-                                     len(name_b), name_b, tensor.ndim,
-                                     *tensor.shape))
-                fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -200,6 +184,21 @@ def save_checkpoint(m: EenedModel, path) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def save_checkpoint(m: EenedModel, path) -> None:
+    """Write the model to ``path`` with ``atomic_write``. Payloads are
+    little-endian float32, so saving a float64 model rounds its values."""
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        cfg_text = model_config_to_text(m.config).encode("utf-8")
+        fh.write(struct.pack("<I", len(cfg_text)) + cfg_text)
+        for name, tensor in named_parameters(m):
+            name_b = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(name_b)}sB{tensor.ndim}I",
+                                 len(name_b), name_b, tensor.ndim,
+                                 *tensor.shape))
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
 
 
 class _Reader:

@@ -59,6 +59,20 @@ class TestTrainCommand:
         assert not out.exists()
         assert os.listdir(tmp_path) == []
 
+    def test_failed_log_write_keeps_previous_log(self, capsys, tmp_path,
+                                                 full_disk):
+        out = tmp_path / "m.ckpt"
+        args = ["train", "--toy", "--out", str(out), "--epochs", "1"]
+        assert run_cli(capsys, *args, "--seed", "3")[0] == 0
+        log = tmp_path / "m.ckpt.log"
+        before = log.read_bytes()
+        full_disk(10, part=".log.")
+        code, _, stderr = run_cli(capsys, *args, "--seed", "4")
+        assert code == 3
+        assert "No space left" in stderr
+        assert log.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "m.ckpt.log"]
+
     def test_divisibility_config_error(self, capsys, tmp_path):
         code, stdout, stderr = run_cli(
             capsys, "train", "--toy", "--out", str(tmp_path / "m.ckpt"),
@@ -203,21 +217,81 @@ class TestPredictCommand:
         assert code == 2
         assert "features" in stderr or "expected" in stderr
 
+    def test_csv_with_header_id_and_label_matches_features(self, capsys,
+                                                           tmp_path, trained):
+        t_in = load_checkpoint(trained).config.t_in
+        rows = [[f"{v:.6f}" for v in row] for row in
+                np.random.default_rng(11).normal(0, 2, size=(4, t_in))]
+        seg = tmp_path / "segments.csv"
+        seg.write_text("id," + ",".join(f"X{i}" for i in range(t_in)) + ",y\n"
+                       + "".join(f"s{i}," + ",".join(r) + f",{i + 1}\n"
+                                 for i, r in enumerate(rows)))
+        code, from_csv, _ = run_cli(capsys, "predict", "--checkpoint",
+                                    str(trained), "--csv", str(seg))
+        assert code == 0
+        lines = from_csv.splitlines()
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            code, alone, _ = run_cli(capsys, "predict", "--checkpoint",
+                                     str(trained), "--features=" + ",".join(row))
+            assert code == 0
+            # the same features; a batch of 4 and a batch of 1 may differ in
+            # the last float32 bits (BLAS sums in another order), which can
+            # move the sixth printed decimal
+            p_csv, label_csv = re.fullmatch(r"p=(\S+) label=(\d)", line).groups()
+            p_one, label_one = re.fullmatch(r"p=(\S+) label=(\d)",
+                                            alone.strip()).groups()
+            assert abs(float(p_csv) - float(p_one)) <= 2e-6
+            assert label_csv == label_one
+
     def test_needs_an_input_source(self, capsys, trained):
         code, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(trained))
         assert code == 1
         assert "--csv" in stderr or "--features" in stderr
 
 
+def child_env():
+    # a child imports eened from where this process found it, which
+    # pytest's pythonpath setting puts on sys.path but not in the env
+    src = os.path.dirname(os.path.dirname(eened.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+NUMPY_ONLY_CHILD = """
+import importlib, pkgutil, sys
+
+class Blocked:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "pandas"):
+            raise ModuleNotFoundError(f"blocked: {name}")
+
+sys.meta_path.insert(0, Blocked())
+import eened
+for info in pkgutil.iter_modules(eened.__path__):
+    importlib.import_module("eened." + info.name)
+from eened.data import load_dataset, write_synthetic_public_csv
+write_synthetic_public_csv(sys.argv[1], seed=0, n=10, t_in=4)
+print(load_dataset(sys.argv[1], t_in=4).x.shape)
+try:
+    import scipy
+except ModuleNotFoundError:
+    print("scipy blocked")
+"""
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child imports eened from where this process found it, which
-        # pytest's pythonpath setting puts on sys.path but not in the env
-        src = os.path.dirname(os.path.dirname(eened.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         result = subprocess.run(
             [sys.executable, "-m", "eened.cli", "gradcheck", "--module", "pwff"],
-            capture_output=True, text=True, timeout=120, env=env)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert result.returncode == 0
         assert result.stdout.startswith("pwff: pass")
+
+    def test_every_module_runs_on_numpy_alone(self, tmp_path):
+        # [project].dependencies names numpy only
+        result = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_CHILD, str(tmp_path / "s.csv")],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["(10, 4)", "scipy blocked"]

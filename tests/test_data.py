@@ -1,5 +1,7 @@
-"""CSV ingestion, the published split protocol, normalization, batching,
-and the dataset cache."""
+"""CSV ingestion, the published split protocol, normalization and
+batching."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eened.data import (TEST, TEST_NEG, TEST_POS, TRAIN, TRAIN_POS, UNUSED,
-                        DataError, Dataset, batches, binarize_labels,
-                        load_cache, load_dataset, make_toy_dataset, normalize,
-                        parse_csv, save_cache, sniff_csv, split,
-                        write_synthetic_public_csv)
+                        DataError, Dataset, batches, load_dataset,
+                        make_toy_dataset, normalize, read_csv, sniff_csv,
+                        split, write_synthetic_public_csv)
 
 
 def write(path, text):
@@ -22,39 +23,45 @@ def write(path, text):
 class TestParseCsv:
     def test_three_row_smoke(self, tmp_path):
         path = write(tmp_path / "s.csv", "1,2,3,1\n4,5,6,2\n7,8,9,5\n")
-        records = parse_csv(path, has_header=False, id_column=False)
-        assert [r.label5 for r in records] == [1, 2, 5]
-        assert_array_equal(records[0].features, [1.0, 2.0, 3.0])
-        assert all(r.id is None for r in records)
+        ds = load_dataset(path, t_in=3)
+        assert_array_equal(ds.x, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        assert ds.x.dtype == np.float32 and ds.x.flags.c_contiguous
+        assert_array_equal(ds.y, [1, 0, 0])
+        assert_array_equal(ds.split, [UNUSED] * 3)
 
     def test_header_and_id_column(self, tmp_path):
         path = write(tmp_path / "s.csv", "id,X1,X2,y\nr0,1,2,1\nr1,3,4,4\n")
-        records = parse_csv(path, has_header=True, id_column=True)
-        assert [r.id for r in records] == ["r0", "r1"]
-        assert_array_equal(records[1].features, [3.0, 4.0])
+        assert_array_equal(read_csv(path), [[1, 2, 1], [3, 4, 4]])
+        assert_array_equal(load_dataset(path, t_in=2).x[1], [3.0, 4.0])
 
     def test_missing_feature_names_line(self, tmp_path):
         path = write(tmp_path / "s.csv", "1,2,3,1\n4,5,2\n")
-        with pytest.raises(DataError, match=":2"):
-            parse_csv(path, has_header=False, id_column=False)
+        with pytest.raises(DataError, match=":2: expected 4 columns, found 3"):
+            load_dataset(path, t_in=3)
+        longer = write(tmp_path / "l.csv", "id,a,b,y\nr0,1,2,1\nr1,3,4,5,1\n")
+        with pytest.raises(DataError, match=":3: expected 4 columns, found 5"):
+            load_dataset(longer, t_in=2)
 
     def test_non_numeric_feature(self, tmp_path):
-        path = write(tmp_path / "s.csv", "1,abc,3,1\n")
-        with pytest.raises(DataError, match="non-numeric"):
-            parse_csv(path, has_header=False, id_column=False)
+        path = write(tmp_path / "s.csv", "1,2,3,1\n1,abc,3,1\n")
+        with pytest.raises(DataError, match=":2: non-numeric feature value 'abc'"):
+            load_dataset(path, t_in=3)
 
     def test_label_out_of_range(self, tmp_path):
         path = write(tmp_path / "s.csv", "1,2,3,6\n")
-        with pytest.raises(DataError, match="label"):
-            parse_csv(path, has_header=False, id_column=False)
+        with pytest.raises(DataError, match="label .* got '6'"):
+            load_dataset(path, t_in=3)
         path2 = write(tmp_path / "s2.csv", "1,2,3,1.5\n")
-        with pytest.raises(DataError, match="label"):
-            parse_csv(path2, has_header=False, id_column=False)
+        with pytest.raises(DataError, match="label .* got '1.5'"):
+            load_dataset(path2, t_in=3)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "s.csv", "")
-        with pytest.raises(DataError):
-            parse_csv(path, has_header=False, id_column=False)
+        with pytest.raises(DataError, match="empty file"):
+            load_dataset(path, t_in=3)
+        header_only = write(tmp_path / "h.csv", "id,X1,y\n\n")
+        with pytest.raises(DataError, match="no data rows"):
+            load_dataset(header_only, t_in=1)
 
     def test_sniff_variants(self, tmp_path):
         plain = write(tmp_path / "a.csv", "1,2,3,1\n")
@@ -63,31 +70,72 @@ class TestParseCsv:
         assert sniff_csv(headed) == (True, False)
         full = write(tmp_path / "c.csv", "id,X1,X2,y\nr0,1,2,1\n")
         assert sniff_csv(full) == (True, True)
+        quoted = write(tmp_path / "d.csv", '"1","2","3","1"\n')
+        assert sniff_csv(quoted) == (False, False)
 
     def test_full_public_layout(self, public_layout_csv):
-        records = parse_csv(public_layout_csv, has_header=True, id_column=True)
-        assert len(records) == 11500
-        assert all(r.features.shape == (178,) for r in records[:100])
-        y = binarize_labels(records)
-        assert int(y.sum()) == 2300
+        ds = load_dataset(public_layout_csv, t_in=178)
+        assert ds.x.shape == (11500, 178)
+        assert int(ds.y.sum()) == 2300
+
+    @pytest.mark.parametrize("row, message", [
+        ("r2,1,x,3", "non-numeric feature value 'x'"),
+        ("r2,1,2", "expected 4 columns, found 3"),
+        ("r2,1,2,7", "label must be an integer in 1..5, got '7'"),
+    ])
+    def test_error_names_the_file_line(self, tmp_path, row, message):
+        # header on line 2 after a blank line, and a line of spaces at 4:
+        # the bad row is file line 6, although it is the third data row
+        text = f"\nid,a,b,y\nr0,1,2,1\n  \nr1,3,4,2\n{row}\nr3,5,6,3\n"
+        with pytest.raises(DataError, match=f"s.csv:6: {re.escape(message)}"):
+            load_dataset(write(tmp_path / "s.csv", text), t_in=2)
+
+    def test_hash_is_a_cell_character_not_a_comment(self, tmp_path):
+        path = write(tmp_path / "s.csv", "1,2,3,1\n4,5#x,6,1\n")
+        with pytest.raises(DataError, match=":2: non-numeric feature value '5#x'"):
+            load_dataset(path, t_in=3)
+
+    def test_quoted_numeric_cells(self, tmp_path):
+        path = write(tmp_path / "s.csv",
+                     'id,a,b,y\n"r,0","1.5",2,"1"\nr1,"-3","4e1",2\n')
+        ds = load_dataset(path, t_in=2)
+        assert_array_equal(ds.x, [[1.5, 2.0], [-3.0, 40.0]])
+        assert_array_equal(ds.y, [1, 0])
+
+    def test_cells_round_like_float_then_float32(self, tmp_path):
+        # the reference is the per-cell conversion the reader replaced:
+        # Python's float, then one rounding to float32
+        rng = np.random.default_rng(0)
+        cells = [[f"{v:.6f}" for v in row]
+                 for row in rng.uniform(-1e4, 1e4, size=(200, 9))]
+        cells = [row[:-1] + [str(1 + i % 5)] for i, row in enumerate(cells)]
+        path = write(tmp_path / "s.csv", "".join(",".join(r) + "\n" for r in cells))
+        expected = np.array([[np.float32(float(c)) for c in r[:-1]] for r in cells])
+        got = load_dataset(path, t_in=8).x
+        assert got.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestBinarize:
-    def test_definition(self):
-        path_labels = [1, 2, 3, 4, 5]
-        records = [type("R", (), {"label5": v})() for v in path_labels]
-        assert_array_equal(binarize_labels(records), [1, 0, 0, 0, 0])
+    @staticmethod
+    def labels_of(tmp_path, labels):
+        text = "".join(f"{i},0.5,{v}\n" for i, v in enumerate(labels))
+        return load_dataset(write(tmp_path / "l.csv", text), t_in=2).y
 
-    def test_all_positive(self):
-        records = [type("R", (), {"label5": 1})() for _ in range(4)]
-        assert_array_equal(binarize_labels(records), [1, 1, 1, 1])
+    def test_definition(self, tmp_path):
+        y = self.labels_of(tmp_path, [1, 2, 3, 4, 5, "1.0"])
+        assert y.dtype == np.uint8
+        assert_array_equal(y, [1, 0, 0, 0, 0, 1])
+
+    def test_all_positive(self, tmp_path):
+        assert_array_equal(self.labels_of(tmp_path, [1] * 4), [1, 1, 1, 1])
 
     @given(st.permutations(list(range(10))))
     @settings(deadline=None, max_examples=20)
-    def test_positive_count_permutation_invariant(self, order):
+    def test_positive_count_permutation_invariant(self, tmp_path_factory, order):
         labels = [1, 1, 2, 3, 4, 5, 1, 2, 5, 4]
-        records = [type("R", (), {"label5": labels[i]})() for i in order]
-        assert int(binarize_labels(records).sum()) == 3
+        y = self.labels_of(tmp_path_factory.mktemp("p"), [labels[i] for i in order])
+        assert int(y.sum()) == 3
 
 
 def public_dataset(public_layout_csv):
@@ -205,31 +253,6 @@ class TestBatches:
     def test_bad_batch_size(self):
         with pytest.raises(DataError):
             list(batches(small_dataset(5), TRAIN, 0))
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        ds = make_toy_dataset(30, 16, seed=3)
-        path = tmp_path / "d.bin"
-        save_cache(ds, path)
-        loaded = load_cache(path)
-        assert_array_equal(loaded.x, ds.x)
-        assert_array_equal(loaded.y, ds.y)
-        assert_array_equal(loaded.split, ds.split)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "d.bin"
-        path.write_bytes(b"NOTADATA" + b"\x00" * 32)
-        with pytest.raises(DataError, match="magic"):
-            load_cache(path)
-
-    def test_truncation(self, tmp_path):
-        ds = make_toy_dataset(30, 16, seed=3)
-        path = tmp_path / "d.bin"
-        save_cache(ds, path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(DataError, match="bytes"):
-            load_cache(path)
 
 
 class TestToyData:

@@ -1,6 +1,5 @@
 """Model assembly, forward contracts, and checkpoint serialization."""
 
-import errno
 import os
 import struct
 
@@ -14,7 +13,7 @@ import eened.model
 from eened.config import ModelConfig, model_config_to_text
 from eened.model import (MAGIC, CheckpointError, CheckpointMagicError,
                          CheckpointShapeError, CheckpointTruncatedError,
-                         eval_block_rows, load_checkpoint, model_forward,
+                         eval_block_rows, load_checkpoint,
                          model_forward_batch, model_init, named_parameters,
                          save_checkpoint)
 from eened.tensor import ConfigError, ShapeError, Tape, Tensor
@@ -96,14 +95,9 @@ class TestForward:
         with pytest.raises(ShapeError):
             model_forward_batch(m, Tensor(np.zeros((2, m.config.t_in + 1))))
         with pytest.raises(ShapeError):
-            model_forward(m, Tensor(np.zeros(m.config.t_in - 1)))
-
-    def test_single_segment_matches_batch(self):
-        m = toy_model()
-        x = np.random.default_rng(3).normal(size=(m.config.t_in,)).astype(np.float32)
-        single = model_forward(m, Tensor(x)).item()
-        batched = model_forward_batch(m, Tensor(x.reshape(1, -1))).data[0]
-        assert single == batched
+            model_forward_batch(m, Tensor(np.zeros((1, m.config.t_in - 1))))
+        with pytest.raises(ShapeError):
+            model_forward_batch(m, Tensor(np.zeros(m.config.t_in)))
 
     def test_float64_input_is_cast_to_model_dtype(self):
         m = toy_model()
@@ -137,7 +131,8 @@ class TestBlockedEval:
         m = blocked_model(dtype)
         x = np.random.default_rng(n).normal(size=(n, m.config.t_in)).astype(dtype)
         blocked = model_forward_batch(m, Tensor(x)).data
-        rows = np.array([model_forward(m, Tensor(row)).item() for row in x])
+        rows = np.array([model_forward_batch(m, Tensor(row[None])).item()
+                         for row in x])
         assert blocked.shape == (n,) and blocked.dtype == np.dtype(dtype)
         assert_allclose(blocked, rows, rtol=0, atol=atol)
 
@@ -170,32 +165,6 @@ class TestBlockedEval:
                                                        dtype=np.float32)))
             counts.append(len(tape))
         assert counts[0] == counts[1]
-
-
-class _FullDisk:
-    """A file that accepts ``room`` bytes, then fails as a full disk does."""
-
-    def __init__(self, fh, room):
-        self.fh, self.room = fh, room
-
-    def write(self, data):
-        view = memoryview(data).cast("B")
-        if len(view) > self.room:
-            self.fh.write(view[:self.room])
-            self.room = 0
-            raise OSError(errno.ENOSPC, "No space left on device")
-        self.room -= len(view)
-        return self.fh.write(view)
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-        return False
 
 
 class TestCheckpoint:
@@ -289,15 +258,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
 
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, full_disk):
         path = tmp_path / "m.ckpt"
         save_checkpoint(toy_model(seed=1), path)
         before = path.read_bytes()
-        real_open = open
-        monkeypatch.setattr(
-            eened.model, "open",
-            lambda *args, **kwargs: _FullDisk(real_open(*args, **kwargs), 100),
-            raising=False)
+        full_disk(100)
         with pytest.raises(OSError, match="No space left"):
             save_checkpoint(toy_model(seed=2), path)
         assert path.read_bytes() == before
