@@ -94,32 +94,34 @@ def _is_numeric(line: str, usecols=None) -> bool:
 
 def sniff_csv(path) -> tuple[bool, bool]:
     """Detect (has_header, id_column): the first non-blank line is a header
-    when one of its cells is not a number, and the first data cell is an id
-    when it is not a number."""
+    when none of its cells is a number (so a data row with a corrupt cell
+    stays a data row, and its read reports the cell), and the first data
+    cell is an id when it is not a number."""
     with open(path, newline="") as fh:
         lines = (line for line in fh if line.strip())
         first = next(lines, None)
         if first is None:
             raise DataError(f"{path}: empty file")
-        has_header = not _is_numeric(first)
+        width = len(next(csv.reader([first])))
+        has_header = not any(_is_numeric(first, [j]) for j in range(width))
         probe = next(lines, first) if has_header else first
     return has_header, not _is_numeric(probe, usecols=[0])
 
 
-def _data_lines(path) -> Iterator[tuple[int, str]]:
+def _data_lines(path, has_header: bool) -> Iterator[tuple[int, str]]:
     """(1-based file line number, text) of each data row: the lines that are
-    not blank, without the header."""
-    has_header, _ = sniff_csv(path)
+    not blank, without the header (``sniff_csv``)."""
     with open(path, newline="") as fh:
         lines = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
         yield from islice(lines, int(has_header), None)
 
 
-def _read_error(path, first_col: int, cause: ValueError) -> DataError:
+def _read_error(path, has_header: bool, first_col: int,
+                cause: ValueError) -> DataError:
     """Find the line that made the whole-file read fail by reading the data
     lines one at a time: the first row fixes the column count."""
     width = None
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(path, has_header):
         cells = next(csv.reader([line]))
         width = width or len(cells)
         if len(cells) != width:
@@ -137,12 +139,12 @@ def read_csv(path) -> np.ndarray:
     """Every data row of a CSV file as one (rows, columns) float32 matrix,
     without the header and the id column (see ``sniff_csv``); blank lines
     are skipped. Errors name the 1-based file line."""
-    _, id_column = sniff_csv(path)
+    has_header, id_column = sniff_csv(path)
     try:
-        m = read_floats((line for _, line in _data_lines(path)),
+        m = read_floats((line for _, line in _data_lines(path, has_header)),
                         converters=_ID_PLACEHOLDER if id_column else None)
     except ValueError as e:
-        raise _read_error(path, int(id_column), e) from None
+        raise _read_error(path, has_header, int(id_column), e) from None
     if m.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
     return m[:, 1:] if id_column else m
@@ -155,7 +157,8 @@ def load_dataset(path, t_in: int) -> Dataset:
     labels = m[:, -1]
     bad = np.flatnonzero(~np.isin(labels, np.arange(1, 6)))
     if bad.size:
-        lineno, line = next(islice(_data_lines(path), int(bad[0]), None))
+        lines = _data_lines(path, sniff_csv(path)[0])
+        lineno, line = next(islice(lines, int(bad[0]), None))
         raise DataError(f"{path}:{lineno}: label must be an integer in 1..5, "
                         f"got {next(csv.reader([line]))[-1]!r}")
     if m.shape[1] - 1 != t_in:

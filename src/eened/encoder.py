@@ -28,11 +28,21 @@ from .tensor import (Tensor, add, concat_last, conv1d_depthwise,
 LN_EPS = 1e-5
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
+def uniform_init(stream: Optional[SeedStream], shape: tuple[int, ...],
                  fan_in: int, dtype) -> Tensor:
-    """Weight init: uniform(-sqrt(1/fan_in), +sqrt(1/fan_in))."""
+    """Weight init: uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) from the
+    stream's generator. With no stream nothing is drawn and the array is
+    left uninitialised, for a caller that fills every element (checkpoint
+    load); the ``*_init`` functions pass a ``None`` stream down unchanged."""
+    if stream is None:
+        return Tensor(np.empty(shape, dtype=dtype))
     bound = math.sqrt(1.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))
+    return Tensor(stream.generator().uniform(-bound, bound, size=shape).astype(dtype))
+
+
+def child(stream: Optional[SeedStream], name: str) -> Optional[SeedStream]:
+    """``stream.child(name)``, or None when there is no stream."""
+    return None if stream is None else stream.child(name)
 
 
 def _zeros(shape, dtype) -> Tensor:
@@ -66,11 +76,12 @@ class PwffParams:
                 (f"{prefix}.ln_beta", self.ln_beta)]
 
 
-def pwff_init(stream: SeedStream, d_model: int, d_pwff: int, dtype) -> PwffParams:
+def pwff_init(stream: Optional[SeedStream], d_model: int, d_pwff: int,
+              dtype) -> PwffParams:
     return PwffParams(
-        w1=uniform_init(stream.child("w1").generator(), (d_model, d_pwff), d_model, dtype),
+        w1=uniform_init(child(stream, "w1"), (d_model, d_pwff), d_model, dtype),
         b1=_zeros((d_pwff,), dtype),
-        w2=uniform_init(stream.child("w2").generator(), (d_pwff, d_model), d_pwff, dtype),
+        w2=uniform_init(child(stream, "w2"), (d_pwff, d_model), d_pwff, dtype),
         b2=_zeros((d_model,), dtype),
         ln_gamma=_ones((d_model,), dtype),
         ln_beta=_zeros((d_model,), dtype),
@@ -116,16 +127,16 @@ class MhsaParams:
         return out
 
 
-def mhsa_init(stream: SeedStream, d_model: int, n_heads: int, head_dim: int,
-              dtype) -> MhsaParams:
+def mhsa_init(stream: Optional[SeedStream], d_model: int, n_heads: int,
+              head_dim: int, dtype) -> MhsaParams:
     def heads(tag):
-        return [uniform_init(stream.child(f"{tag}{h}").generator(),
+        return [uniform_init(child(stream, f"{tag}{h}"),
                              (d_model, head_dim), d_model, dtype)
                 for h in range(n_heads)]
 
     return MhsaParams(
         q=heads("q"), k=heads("k"), v=heads("v"),
-        o=uniform_init(stream.child("o").generator(), (d_model, d_model), d_model, dtype),
+        o=uniform_init(child(stream, "o"), (d_model, d_model), d_model, dtype),
         ln_gamma=_ones((d_model,), dtype),
         ln_beta=_zeros((d_model,), dtype),
     )
@@ -195,22 +206,18 @@ class ConvModuleParams:
                 (f"{prefix}.ln_gamma", self.ln_gamma), (f"{prefix}.ln_beta", self.ln_beta)]
 
 
-def conv_module_init(stream: SeedStream, d_model: int, kernel: int, dtype) -> ConvModuleParams:
+def conv_module_init(stream: Optional[SeedStream], d_model: int, kernel: int,
+                     dtype) -> ConvModuleParams:
     return ConvModuleParams(
-        pw1_w=uniform_init(stream.child("pw1_w").generator(),
-                           (d_model, 2 * d_model), d_model, dtype),
+        pw1_w=uniform_init(child(stream, "pw1_w"), (d_model, 2 * d_model), d_model, dtype),
         pw1_b=_zeros((2 * d_model,), dtype),
-        glu_w1=uniform_init(stream.child("glu_w1").generator(),
-                            (d_model, d_model), d_model, dtype),
+        glu_w1=uniform_init(child(stream, "glu_w1"), (d_model, d_model), d_model, dtype),
         glu_b1=_zeros((d_model,), dtype),
-        glu_w2=uniform_init(stream.child("glu_w2").generator(),
-                            (d_model, d_model), d_model, dtype),
+        glu_w2=uniform_init(child(stream, "glu_w2"), (d_model, d_model), d_model, dtype),
         glu_b2=_zeros((d_model,), dtype),
-        dw_kernel=uniform_init(stream.child("dw_kernel").generator(),
-                               (d_model, kernel), kernel, dtype),
+        dw_kernel=uniform_init(child(stream, "dw_kernel"), (d_model, kernel), kernel, dtype),
         dw_bias=_zeros((d_model,), dtype),
-        proj_w=uniform_init(stream.child("proj_w").generator(),
-                            (d_model, d_model), d_model, dtype),
+        proj_w=uniform_init(child(stream, "proj_w"), (d_model, d_model), d_model, dtype),
         proj_b=_zeros((d_model,), dtype),
         ln_gamma=_ones((d_model,), dtype),
         ln_beta=_zeros((d_model,), dtype),
@@ -261,12 +268,13 @@ class EncoderBlockParams:
         return out
 
 
-def encoder_block_init(stream: SeedStream, cfg: ModelConfig, dtype) -> EncoderBlockParams:
+def encoder_block_init(stream: Optional[SeedStream], cfg: ModelConfig,
+                       dtype) -> EncoderBlockParams:
     return EncoderBlockParams(
-        pwff_a=pwff_init(stream.child("pwff_a"), cfg.d_model, cfg.d_pwff, dtype),
-        mhsa=mhsa_init(stream.child("mhsa"), cfg.d_model, cfg.n_heads, cfg.head_dim, dtype),
-        conv=conv_module_init(stream.child("conv"), cfg.d_model, cfg.conv_kernel, dtype),
-        pwff_b=pwff_init(stream.child("pwff_b"), cfg.d_model, cfg.d_pwff, dtype),
+        pwff_a=pwff_init(child(stream, "pwff_a"), cfg.d_model, cfg.d_pwff, dtype),
+        mhsa=mhsa_init(child(stream, "mhsa"), cfg.d_model, cfg.n_heads, cfg.head_dim, dtype),
+        conv=conv_module_init(child(stream, "conv"), cfg.d_model, cfg.conv_kernel, dtype),
+        pwff_b=pwff_init(child(stream, "pwff_b"), cfg.d_model, cfg.d_pwff, dtype),
         final_ln_gamma=_ones((cfg.d_model,), dtype),
         final_ln_beta=_zeros((cfg.d_model,), dtype),
     )

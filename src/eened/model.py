@@ -6,6 +6,11 @@ Also owns the checkpoint format. A checkpoint is the 8-byte magic
 config, then every parameter in canonical walk order as (u32 name length,
 name, u8 rank, u32 extents, little-endian f32 payload). All integers are
 little-endian. Round-tripping a float32 model is bitwise lossless.
+
+Loading draws no random numbers and holds no copy of the file: the model's
+parameter arrays are allocated empty and each payload is read from the open
+file straight into its array, so a load costs about one pass over the file
+and its peak memory is about the parameters' own size.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig, model_config_from_text, model_config_to_text
-from .encoder import (EncoderBlockParams, encoder_block_forward,
+from .encoder import (EncoderBlockParams, child, encoder_block_forward,
                       encoder_block_init, uniform_init)
 from .rng import SeedStream
 from .tensor import (ContractError, ParamStore, ShapeError, Tensor, add,
@@ -72,25 +77,30 @@ def model_init(cfg: ModelConfig, dtype: str | np.dtype = "float32") -> EenedMode
     """Build a model with all parameters drawn deterministically from
     cfg.seed (each parameter gets its own named stream, so the draw does not
     depend on construction order)."""
+    return _build(cfg, dtype, SeedStream(cfg.seed))
+
+
+def _build(cfg: ModelConfig, dtype, stream: SeedStream | None) -> EenedModel:
+    """The parameter tree of ``cfg``: weights drawn from the named children
+    of ``stream``, or, with no stream, left uninitialised for
+    ``load_checkpoint`` to fill."""
     cfg.validate()
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ContractError(f"model dtype must be float32 or float64, got {dt}")
-    stream = SeedStream(cfg.seed)
     d = cfg.d_model
-    embed = stream.child("embed")
-    head = stream.child("head")
+    embed = child(stream, "embed")
+    head = child(stream, "head")
     m = EenedModel(
         config=cfg,
-        embed_w=uniform_init(embed.child("w").generator(), (1, d), 1, dt),
+        embed_w=uniform_init(child(embed, "w"), (1, d), 1, dt),
         embed_b=Tensor(np.zeros((d,), dtype=dt)),
-        blocks=[encoder_block_init(stream.child(f"block{i}"), cfg, dt)
+        blocks=[encoder_block_init(child(stream, f"block{i}"), cfg, dt)
                 for i in range(cfg.n_blocks)],
-        head_w1=uniform_init(head.child("w1").generator(),
-                             (d, cfg.classifier_hidden), d, dt),
+        head_w1=uniform_init(child(head, "w1"), (d, cfg.classifier_hidden), d, dt),
         head_b1=Tensor(np.zeros((cfg.classifier_hidden,), dtype=dt)),
-        head_w2=uniform_init(head.child("w2").generator(),
-                             (cfg.classifier_hidden, 1), cfg.classifier_hidden, dt),
+        head_w2=uniform_init(child(head, "w2"), (cfg.classifier_hidden, 1),
+                             cfg.classifier_hidden, dt),
         head_b2=Tensor(np.zeros((1,), dtype=dt)),
         params=ParamStore(),
         dtype=dt,
@@ -202,17 +212,38 @@ def save_checkpoint(m: EenedModel, path) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    """Reads an open checkpoint file front to back. Truncation is judged
+    from the file's size (``os.fstat``) before each read, and a read that
+    returns fewer bytes than asked for fails too, so a short read never
+    passes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+    def _need(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise CheckpointTruncatedError(
-                f"checkpoint ends at byte {len(self.buf)} but {self.pos + n} are needed")
-        out = self.buf[self.pos:self.pos + n]
+                f"checkpoint ends at byte {self.size} but {self.pos + n} are needed")
+
+    def _advance(self, n: int, got: int) -> None:
+        if got != n:  # the file shrank while it was being read
+            raise CheckpointTruncatedError(
+                f"checkpoint ended at byte {self.pos + got} while being read, "
+                f"but {self.pos + n} are needed")
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self._need(n)
+        out = self.fh.read(n)
+        self._advance(n, len(out))
         return out
+
+    def take_into(self, arr: np.ndarray) -> None:
+        """Fill the C-contiguous ``arr`` with the next ``arr.nbytes`` bytes."""
+        self._need(arr.nbytes)
+        self._advance(arr.nbytes, self.fh.readinto(memoryview(arr).cast("B")))
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -220,36 +251,40 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
-
 
 def load_checkpoint(path, dtype: str | np.dtype = "float32") -> EenedModel:
     """Read a checkpoint and return a model; validates magic, config
-    invariants, and every tensor against the config's shape table."""
+    invariants, and every tensor against the config's shape table. Nothing
+    is drawn at random: the parameter arrays are allocated empty, and each
+    payload is read from the file straight into its array (through one
+    reused float32 scratch buffer, then cast, when the model's arrays are
+    not native little-endian float32). Any failure raises, so a partly
+    filled model is never returned."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if r.take(len(MAGIC)) != MAGIC:
-        raise CheckpointMagicError(f"{path}: not a model checkpoint (bad magic)")
-    cfg_text = r.take(r.u32()).decode("utf-8")
-    cfg = model_config_from_text(cfg_text)
-    m = model_init(cfg, dtype)
-    for name, tensor in named_parameters(m):
-        stored = r.take(r.u32()).decode("utf-8")
-        if stored != name:
-            raise CheckpointError(
-                f"{path}: expected tensor {name!r}, found {stored!r}")
-        rank = r.u8()
-        shape = tuple(struct.unpack(f"<{rank}I", r.take(4 * rank))) if rank else ()
-        if shape != tensor.shape:
-            raise CheckpointShapeError(
-                f"{path}: tensor {name!r} has shape {shape}, config implies {tensor.shape}")
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = np.frombuffer(r.take(4 * n), dtype="<f4", count=n).reshape(shape)
-        if not np.all(np.isfinite(payload)):
-            raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
-        tensor.data[...] = payload.astype(m.dtype)
-    if not r.done():
-        raise CheckpointError(
-            f"{path}: {len(r.buf) - r.pos} unexpected trailing bytes")
+        r = _Reader(fh)
+        if r.take(len(MAGIC)) != MAGIC:
+            raise CheckpointMagicError(f"{path}: not a model checkpoint (bad magic)")
+        cfg = model_config_from_text(r.take(r.u32()).decode("utf-8", "replace"))
+        m = _build(cfg, dtype, None)
+        params = named_parameters(m)
+        direct = m.dtype == np.dtype("<f4")
+        scratch = None if direct else np.empty(max(t.size for _, t in params), "<f4")
+        for name, tensor in params:
+            stored = r.take(r.u32())
+            if stored != name.encode("utf-8"):
+                raise CheckpointError(f"{path}: expected tensor {name!r}, "
+                                      f"found {stored.decode('utf-8', 'replace')!r}")
+            rank = r.u8()
+            shape = tuple(struct.unpack(f"<{rank}I", r.take(4 * rank))) if rank else ()
+            if shape != tensor.shape:
+                raise CheckpointShapeError(
+                    f"{path}: tensor {name!r} has shape {shape}, config implies {tensor.shape}")
+            payload = tensor.data if direct else scratch[:tensor.size].reshape(shape)
+            r.take_into(payload)
+            if not np.isfinite(payload).all():
+                raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
+            if not direct:
+                tensor.data[...] = payload
+        if r.pos != r.size:
+            raise CheckpointError(f"{path}: {r.size - r.pos} unexpected trailing bytes")
     return m

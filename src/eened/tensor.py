@@ -549,6 +549,9 @@ def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
         raise ShapeError(f"depthwise conv: bias {b.shape} does not match kernel {k.shape}")
 
     xd, kd = x.data, k.data
+    # tap j's weights as one contiguous row: a column kd[:, j] of the (C, K)
+    # kernel is strided, which made every tap product slower
+    taps = np.ascontiguousarray(kd.T)
     t = xd.shape[-2]
     pad_width = [(0, 0)] * (xd.ndim - 2) + [(pad, pad), (0, 0)]
     xp = np.pad(xd, pad_width)
@@ -563,7 +566,7 @@ def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
         acc, src = out3[i:i + rows], xp3[i:i + rows]
         buf = prod[:len(acc)]
         for j in range(kk):
-            np.multiply(src[:, j:j + t], kd[:, j], out=buf)
+            np.multiply(src[:, j:j + t], taps[j], out=buf)
             acc += buf
 
     def bwd(g):
@@ -572,7 +575,7 @@ def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
         lead = tuple(range(g.ndim - 1))
         g3 = g.reshape((-1, t, c))
         for j in range(kk):
-            dxp[..., j:j + t, :] += g * kd[:, j]
+            dxp[..., j:j + t, :] += g * taps[j]
             dk[:, j] = np.einsum("btc,btc->c", g3, xp3[:, j:j + t])
         dx = np.ascontiguousarray(dxp[..., pad:pad + t, :])
         db = g.sum(axis=lead)

@@ -47,6 +47,21 @@ class TestParseCsv:
         with pytest.raises(DataError, match=":2: non-numeric feature value 'abc'"):
             load_dataset(path, t_in=3)
 
+    def test_corrupt_first_row_is_not_taken_for_a_header(self, tmp_path):
+        # a header has no numeric cell: a first data row with one corrupt
+        # cell must fail on that cell, not vanish as a header
+        path = write(tmp_path / "s.csv", "1,abc,3,1\n4,5,6,2\n")
+        assert sniff_csv(path) == (False, False)
+        with pytest.raises(DataError, match=":1: non-numeric feature value 'abc'"):
+            load_dataset(path, t_in=3)
+        one_row = write(tmp_path / "o.csv", "1,abc,3,1\n")
+        with pytest.raises(DataError, match=":1: non-numeric feature value 'abc'"):
+            read_csv(one_row)
+        # nor is a first row that has only its id cell non-numeric
+        ids = write(tmp_path / "i.csv", "r0,1,2,1\nr1,3,4,4\n")
+        assert sniff_csv(ids) == (False, True)
+        assert_array_equal(read_csv(ids), [[1, 2, 1], [3, 4, 4]])
+
     def test_label_out_of_range(self, tmp_path):
         path = write(tmp_path / "s.csv", "1,2,3,6\n")
         with pytest.raises(DataError, match="label .* got '6'"):
