@@ -92,20 +92,40 @@ def _is_numeric(line: str, usecols=None) -> bool:
     return True
 
 
+def _numbered_from(line: str) -> Optional[int]:
+    """Where the column numbers 0..n-1 start when the cells of ``line``
+    after an optional non-numeric first cell are exactly those numbers, as
+    in the header pandas writes for unnamed columns (``0,1,...``, or
+    ``,0,1,...`` with its row index first); None otherwise."""
+    width = len(next(csv.reader([line])))
+    first = 0 if _is_numeric(line, [0]) else 1
+    if first == width:
+        return None
+    try:
+        cells = read_floats([line], usecols=range(first, width))[0]
+    except ValueError:
+        return None
+    return first if np.array_equal(cells, np.arange(width - first)) else None
+
+
 def sniff_csv(path) -> tuple[bool, bool]:
-    """Detect (has_header, id_column): the first non-blank line is a header
+    """Detect (has_header, id_column). The first non-blank line is a header
     when none of its cells is a number (so a data row with a corrupt cell
-    stays a data row, and its read reports the cell), and the first data
-    cell is an id when it is not a number."""
+    stays a data row, and its read reports the cell) or when it numbers the
+    columns (``_numbered_from``). The first column is an id when the first
+    data cell is not a number, or when a numbering header leaves it unnamed
+    (pandas' row index)."""
     with open(path, newline="") as fh:
         lines = (line for line in fh if line.strip())
         first = next(lines, None)
         if first is None:
             raise DataError(f"{path}: empty file")
         width = len(next(csv.reader([first])))
-        has_header = not any(_is_numeric(first, [j]) for j in range(width))
+        numbered = _numbered_from(first)
+        has_header = (numbered is not None
+                      or not any(_is_numeric(first, [j]) for j in range(width)))
         probe = next(lines, first) if has_header else first
-    return has_header, not _is_numeric(probe, usecols=[0])
+    return has_header, numbered == 1 or not _is_numeric(probe, usecols=[0])
 
 
 def _data_lines(path, has_header: bool) -> Iterator[tuple[int, str]]:

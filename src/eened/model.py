@@ -8,9 +8,10 @@ name, u8 rank, u32 extents, little-endian f32 payload). All integers are
 little-endian. Round-tripping a float32 model is bitwise lossless.
 
 Loading draws no random numbers and holds no copy of the file: the model's
-parameter arrays are allocated empty and each payload is read from the open
-file straight into its array, so a load costs about one pass over the file
-and its peak memory is about the parameters' own size.
+parameter arrays are allocated empty (``model_init`` with ``_draw=False``)
+and each payload is read from the open file straight into its array, so a
+load costs about one pass over the file and its peak memory is about the
+parameters' own size.
 """
 
 from __future__ import annotations
@@ -73,21 +74,18 @@ def named_parameters(m: EenedModel) -> list[tuple[str, Tensor]]:
     return out
 
 
-def model_init(cfg: ModelConfig, dtype: str | np.dtype = "float32") -> EenedModel:
+def model_init(cfg: ModelConfig, dtype: str | np.dtype = "float32", *,
+               _draw: bool = True) -> EenedModel:
     """Build a model with all parameters drawn deterministically from
     cfg.seed (each parameter gets its own named stream, so the draw does not
-    depend on construction order)."""
-    return _build(cfg, dtype, SeedStream(cfg.seed))
-
-
-def _build(cfg: ModelConfig, dtype, stream: SeedStream | None) -> EenedModel:
-    """The parameter tree of ``cfg``: weights drawn from the named children
-    of ``stream``, or, with no stream, left uninitialised for
-    ``load_checkpoint`` to fill."""
+    depend on construction order). ``_draw=False`` is for
+    ``load_checkpoint`` alone: nothing is drawn and the weights are left
+    uninitialised for it to fill."""
     cfg.validate()
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ContractError(f"model dtype must be float32 or float64, got {dt}")
+    stream = SeedStream(cfg.seed) if _draw else None
     d = cfg.d_model
     embed = child(stream, "embed")
     head = child(stream, "head")
@@ -265,7 +263,7 @@ def load_checkpoint(path, dtype: str | np.dtype = "float32") -> EenedModel:
         if r.take(len(MAGIC)) != MAGIC:
             raise CheckpointMagicError(f"{path}: not a model checkpoint (bad magic)")
         cfg = model_config_from_text(r.take(r.u32()).decode("utf-8", "replace"))
-        m = _build(cfg, dtype, None)
+        m = model_init(cfg, dtype, _draw=False)
         params = named_parameters(m)
         direct = m.dtype == np.dtype("<f4")
         scratch = None if direct else np.empty(max(t.size for _, t in params), "<f4")

@@ -244,6 +244,29 @@ class TestPredictCommand:
             assert abs(float(p_csv) - float(p_one)) <= 2e-6
             assert label_csv == label_one
 
+    def test_csv_with_numbered_header_scores_only_the_rows(self, capsys,
+                                                           tmp_path, trained):
+        # the layout pandas writes for an unnamed frame: ",0,1,..." and a
+        # row index; the header must not be scored as a segment
+        t_in = load_checkpoint(trained).config.t_in
+        rows = [[f"{v:.6f}" for v in row] for row in
+                np.random.default_rng(12).normal(0, 2, size=(3, t_in))]
+        named = tmp_path / "named.csv"
+        named.write_text("".join(f"s{i}," + ",".join(r) + "\n"
+                                 for i, r in enumerate(rows)))
+        numbered = tmp_path / "numbered.csv"
+        numbered.write_text("," + ",".join(map(str, range(t_in))) + "\n"
+                            + "".join(f"{i}," + ",".join(r) + "\n"
+                                      for i, r in enumerate(rows)))
+        outs = []
+        for path in (named, numbered):
+            code, out, _ = run_cli(capsys, "predict", "--checkpoint",
+                                   str(trained), "--csv", str(path))
+            assert code == 0
+            outs.append(out)
+        assert len(outs[1].splitlines()) == len(rows)
+        assert outs[1] == outs[0]
+
     def test_needs_an_input_source(self, capsys, trained):
         code, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(trained))
         assert code == 1

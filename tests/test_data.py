@@ -62,6 +62,20 @@ class TestParseCsv:
         assert sniff_csv(ids) == (False, True)
         assert_array_equal(read_csv(ids), [[1, 2, 1], [3, 4, 4]])
 
+    def test_header_numbering_the_columns_is_a_header(self, tmp_path):
+        # pandas writes unnamed columns as 0..n-1, after an empty cell when
+        # it writes the row index too; that index is then the id column
+        indexed = write(tmp_path / "p.csv", ",0,1,2\n0,7,8,1\n1,9,10,4\n")
+        assert sniff_csv(indexed) == (True, True)
+        assert_array_equal(read_csv(indexed), [[7, 8, 1], [9, 10, 4]])
+        plain = write(tmp_path / "q.csv", "0,1,2\n7,8,1\n9,10,4\n")
+        assert sniff_csv(plain) == (True, False)
+        assert_array_equal(read_csv(plain), [[7, 8, 1], [9, 10, 4]])
+        # any other numbers keep the first line a data row
+        for text in ("1,2,3\n7,8,1\n", "0,1,3\n7,8,1\n", "r0,1,2\nr1,8,1\n",
+                     "0,0,1\n7,8,1\n"):
+            assert not sniff_csv(write(tmp_path / "d.csv", text))[0], text
+
     def test_label_out_of_range(self, tmp_path):
         path = write(tmp_path / "s.csv", "1,2,3,6\n")
         with pytest.raises(DataError, match="label .* got '6'"):
