@@ -311,6 +311,17 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert result.stdout.startswith("pwff: pass")
 
+    def test_toy_training_process_exits_cleanly(self, tmp_path):
+        # taped steps lease pooled buffers, whose owners hand them back from
+        # finalizers, also while the interpreter shuts down
+        out = tmp_path / "m.ckpt"
+        result = subprocess.run(
+            [sys.executable, "-m", "eened.cli", "train", "--toy", "--out", str(out),
+             "--epochs", "2"],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == f"checkpoint written to {out}\n"
+
     def test_every_module_runs_on_numpy_alone(self, tmp_path):
         # [project].dependencies names numpy only
         result = subprocess.run(

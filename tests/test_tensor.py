@@ -1,4 +1,8 @@
-"""Autodiff core: op semantics, shape checking, and gradients."""
+"""Autodiff core: op semantics, shape checking, gradients, and the buffers
+a taped step runs in."""
+
+import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -7,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from eened import tensor
+from eened.config import ModelConfig, TrainConfig
+from eened.model import model_forward_batch, model_init
 from eened.tensor import (ConfigError, ContractError, ShapeError, Tape,
                           Tensor, add, backward, clip, concat_last,
                           conv1d_depthwise, conv1d_pointwise, dropout,
                           layer_norm, log, matmul, mean_all, mean_axis, mul,
                           neg, reshape, scale, sigmoid, slice_last,
                           softmax_rows, sub, sum_all, swish, transpose_last2)
-from oracle_utils import np_depthwise_triple_loop
+from eened.train import adam_step, bce_loss, init_adam
+from oracle_utils import np_depthwise_triple_loop, np_layer_norm, np_sigmoid
 
 RNG = np.random.default_rng(42)
 
@@ -152,6 +160,16 @@ class TestBackwardBasics:
         x = Tensor(rand(3), requires_grad=True)
         y = add(x, x)
         assert y._tape is None
+
+    def test_a_tape_is_swept_once(self):
+        x = Tensor(rand(3), requires_grad=True)
+        with Tape():
+            loss = sum_all(mul(x, x))
+            backward(loss)
+            first = x.grad.copy()
+            with pytest.raises(ContractError, match="already been swept"):
+                backward(loss)
+        assert_array_equal(x.grad, first)
 
     def test_reused_intermediate_accumulates(self):
         x = Tensor(rand(4), requires_grad=True)
@@ -402,6 +420,31 @@ class TestDropout:
         assert_allclose(x.grad, expected, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_values_as_a_float_factor(self, dtype):
+        # the mask is a bool array times 1/(1-p); the draw is the same
+        # rng.random(shape) as when the mask was a float factor array
+        x = rand(40, 30).astype(dtype)
+        x[0, :4] = [0.0, -0.0, -1.5, 2.5]
+        p = 0.1
+        factor = (np.random.default_rng(9).random(x.shape) >= p).astype(dtype) / (1.0 - p)
+        g = rand(40, 30).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        with Tape():
+            y = dropout(t, p, True, np.random.default_rng(9))
+            backward(sum_all(mul(y, Tensor(g))))
+        assert_array_equal(y.data, x * factor)
+        assert_array_equal(np.signbit(y.data), np.signbit(x * factor))
+        assert_array_equal(t.grad, g * factor)
+
+    def test_tape_keeps_a_bool_mask(self):
+        with Tape() as tape:
+            dropout(Tensor(rand(20, 30)), 0.3, True, np.random.default_rng(1))
+        saved = [c.cell_contents for c in tape.nodes[-1].backward.__closure__]
+        arrays = [v for v in saved if isinstance(v, np.ndarray)]
+        assert [a.dtype for a in arrays] == [np.bool_]
+
+
 class TestClip:
     def test_values_and_grad_mask(self):
         x = Tensor(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]), requires_grad=True)
@@ -433,3 +476,247 @@ class TestFloat32Kernels:
         with mpmath.workdps(40):
             want = [float(1 / (1 + mpmath.exp(-mpmath.mpf(float(v))))) for v in grid]
         assert_allclose(got, want, rtol=0, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# step buffers: release during the sweep, the pool, in-place accumulation
+# ---------------------------------------------------------------------------
+
+DESK_MODEL = dict(d_model=64, n_heads=4, head_dim=16, n_blocks=2, d_pwff=256,
+                  conv_kernel=15, conv_pad=7, dropout_p=0.1, t_in=178,
+                  classifier_hidden=128)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty buffer pool for one test; the process's pool is put back."""
+    pool = tensor._Pool()
+    monkeypatch.setattr(tensor, "_POOL", pool)
+    return pool
+
+
+def poison_free_buffers(pool):
+    """Fill every idle pooled buffer with NaN bytes, so that a read of memory
+    an op did not write shows up in its result."""
+    for cls in pool.sizes.values():
+        for raw, _ in cls.free:
+            raw.fill(0xFF)
+
+
+def pooled(*shape):
+    """float32 normal values whose array is above the pool's size floor."""
+    a = RNG.normal(0.0, 1.0, size=shape).astype(np.float32)
+    assert a.nbytes >= tensor._POOL_MIN_BYTES
+    return a
+
+
+class DeskSteps:
+    """Taped desk-model training steps (forward, bce_loss, backward, Adam)
+    on seeded random segments."""
+
+    def __init__(self, batch, seed):
+        self.model = model_init(ModelConfig(seed=seed, **DESK_MODEL))
+        self.adam = init_adam(self.model.params)
+        self.tcfg = TrainConfig(seed=seed, batch_size=batch)
+        r = np.random.default_rng(seed)
+        self.x = r.normal(size=(batch, DESK_MODEL["t_in"])).astype(np.float32)
+        self.y = (r.random(batch) < 0.2).astype(np.int64)
+        self.rng = np.random.Generator(np.random.Philox(seed))
+
+    def step(self) -> float:
+        m = self.model
+        m.params.zero_grad()
+        with Tape():
+            p = model_forward_batch(m, Tensor(self.x), training=True, rng=self.rng)
+            loss = bce_loss(p, self.y)
+            backward(loss)
+        adam_step(m.params, self.adam, self.tcfg)
+        return loss.item()
+
+
+class TestStepBuffers:
+    def test_swept_node_releases_its_forward_arrays(self):
+        x = Tensor(pooled(8, 64, 64), requires_grad=True)
+        w = Tensor(pooled(64, 256), requires_grad=True)
+        with Tape() as tape:
+            h = matmul(x, w)
+            released = weakref.ref(h.data)  # then held by swish's closure only
+            y = swish(h)
+            del h
+            backward(mean_all(y))
+            assert len(tape) == 5  # the tape is alive, its arrays are not
+            assert released() is None
+
+    def test_third_step_allocates_under_a_tenth_of_the_first(self, fresh_pool):
+        steps = DeskSteps(batch=8, seed=4)
+        grown = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                steps.step()
+                grown.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert grown[0] > 20e6  # the first step fills the pool
+        assert grown[2] < 0.1 * grown[0], grown
+
+    def test_alternating_batch_sizes_keep_the_pool_bounded(self, fresh_pool):
+        big, small = DeskSteps(batch=32, seed=1), DeskSteps(batch=7, seed=2)
+        big.step()
+        alone = fresh_pool.nbytes
+        sizes = []
+        for _ in range(3):
+            small.step()
+            big.step()
+            sizes.append(fresh_pool.nbytes)
+        assert sizes[0] > alone
+        assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
+        # once batch 7 stops recurring, its buffers are dropped
+        for _ in range(tensor._POOL_KEEP_TAPES):
+            big.step()
+        assert fresh_pool.nbytes == alone
+
+    def test_losses_do_not_depend_on_what_the_pool_held(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_POOL", tensor._Pool())
+        steps = DeskSteps(batch=32, seed=5)
+        from_empty = [steps.step() for _ in range(8)]
+
+        # assigned, not monkeypatched, so that the first pool is freed now
+        filled = tensor._POOL = tensor._Pool()
+        other = DeskSteps(batch=32, seed=6)
+        other.step()
+        other.step()
+        DeskSteps(batch=7, seed=7).step()
+        poison_free_buffers(filled)
+        steps = DeskSteps(batch=32, seed=5)
+        from_filled = [steps.step() for _ in range(8)]
+        assert from_filled == from_empty
+
+
+def np_swish_grad(x):
+    s = np_sigmoid(x)
+    return s * (1.0 + x * (1.0 - s))
+
+
+class TestFanOutAccumulation:
+    """Gradients summed from several consumers, some of them in place, against
+    float64 oracles."""
+
+    def test_add_of_one_operand_twice(self):
+        x = Tensor(pooled(8, 64, 64), requires_grad=True)
+        w = pooled(8, 64, 64)
+        with Tape():
+            y = swish(x)
+            backward(mean_all(mul(add(y, y), Tensor(w))))
+        want = 2.0 * w.astype(np.float64) / w.size * np_swish_grad(x.data.astype(np.float64))
+        assert_allclose(x.grad, want, rtol=1e-5, atol=1e-10)
+
+    def test_operands_of_one_add_keep_their_own_gradients(self):
+        # add hands one g to a and b; a's later second term must not be
+        # summed into the buffer that b still reads
+        x1 = Tensor(pooled(8, 64, 64), requires_grad=True)
+        x2 = Tensor(pooled(8, 64, 64), requires_grad=True)
+        w = pooled(8, 64, 64)
+        with Tape():
+            a, b = swish(x1), swish(x2)
+            t = scale(a, 3.0)
+            s = add(a, b)
+            backward(mean_all(mul(add(s, t), Tensor(w))))
+        wn = w.astype(np.float64) / w.size
+        assert_allclose(x1.grad, 4.0 * wn * np_swish_grad(x1.data.astype(np.float64)),
+                        rtol=1e-5, atol=1e-10)
+        assert_allclose(x2.grad, wn * np_swish_grad(x2.data.astype(np.float64)),
+                        rtol=1e-5, atol=1e-10)
+
+    def test_normalized_input_feeding_several_projections(self):
+        x = Tensor(pooled(8, 64, 64), requires_grad=True)
+        gamma = Tensor(1.0 + rand(64).astype(np.float32), requires_grad=True)
+        beta = Tensor(rand(64).astype(np.float32), requires_grad=True)
+        ws = [Tensor(0.2 * rand(64, 32).astype(np.float32), requires_grad=True)
+              for _ in range(3)]
+        w = pooled(8, 64, 32)
+        with Tape():
+            xn = layer_norm(x, gamma, beta)
+            q, k, v = (matmul(xn, wp) for wp in ws)
+            backward(mean_all(mul(add(add(q, k), v), Tensor(w))))
+
+        f64 = [t.data.astype(np.float64) for t in (x, gamma, beta, *ws)]
+        xd, gd, bd, wq, wk, wv = f64
+        wn = w.astype(np.float64) / w.size
+        xn64 = np_layer_norm(xd, gd, bd)
+        gxn = wn @ wq.T + wn @ wk.T + wn @ wv.T
+        mu = xd.mean(axis=-1, keepdims=True)
+        sd = np.sqrt(((xd - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = (xd - mu) / sd
+        gxhat = gxn * gd
+        want_x = (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)) / sd
+        assert_allclose(x.grad, want_x, rtol=1e-4, atol=1e-10)
+        assert_allclose(gamma.grad, (gxn * xhat).sum(axis=(0, 1)), rtol=1e-4, atol=1e-9)
+        assert_allclose(beta.grad, gxn.sum(axis=(0, 1)), rtol=1e-4, atol=1e-9)
+        want_w = xn64.reshape(-1, 64).T @ wn.reshape(-1, 32)
+        for wp in ws:
+            assert_allclose(wp.grad, want_w, rtol=1e-4, atol=1e-9)
+
+
+# One case per op whose outputs, gradients or temporaries come from the pool,
+# at shapes above its size floor: (function of tensors, input shapes).
+POOLED_OP_CASES = {
+    "add": (add, [(8, 64, 64), (64,)]),
+    "mul": (mul, [(8, 64, 64), (8, 64, 64)]),
+    "scale": (lambda a: scale(a, -0.7), [(8, 64, 64)]),
+    "matmul_weight": (matmul, [(8, 64, 64), (64, 96)]),
+    "matmul_batched": (lambda a, b: matmul(a, transpose_last2(b)),
+                       [(8, 64, 40), (8, 64, 40)]),
+    "concat": (lambda a, b: concat_last([a, b]), [(8, 64, 40), (8, 64, 48)]),
+    "slice": (lambda a: slice_last(a, 16, 80), [(8, 64, 96)]),
+    "mean_axis": (lambda a: mean_axis(a, 1), [(8, 64, 64)]),
+    "sigmoid": (sigmoid, [(8, 64, 64)]),
+    "swish": (swish, [(8, 64, 64)]),
+    "softmax": (softmax_rows, [(8, 64, 64)]),
+    "layer_norm": (layer_norm, [(8, 64, 64), (64,), (64,)]),
+    "conv1d_depthwise": (lambda x, k, b: conv1d_depthwise(x, k, b, 7),
+                         [(8, 64, 64), (64, 15), (64,)]),
+    "dropout": (lambda x: dropout(x, 0.25, True, np.random.default_rng(5)),
+                [(8, 64, 64)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED_OP_CASES))
+def test_pooled_op_matches_untaped_forward_and_float64_gradient(name, fresh_pool):
+    fn, shapes = POOLED_OP_CASES[name]
+    r = np.random.default_rng(sorted(POOLED_OP_CASES).index(name))
+    inputs = [r.normal(size=s).astype(np.float32) for s in shapes]
+    untaped = fn(*(Tensor(a) for a in inputs)).data
+    w = r.normal(size=untaped.shape).astype(np.float32)
+    assert max(a.nbytes for a in [untaped, *inputs]) >= tensor._POOL_MIN_BYTES
+
+    def taped():
+        ts = [Tensor(a, requires_grad=True) for a in inputs]
+        with Tape():
+            out = fn(*ts)
+            backward(mean_all(mul(out, Tensor(w))))
+        return out.data, [t.grad for t in ts]
+
+    taped()  # fills the pool, whose buffers are then poisoned
+    poison_free_buffers(fresh_pool)
+    out, grads = taped()
+    assert_array_equal(out, untaped)
+
+    # oracle: the float64 untaped forward's derivative along random
+    # directions, by central differences
+    w64 = w.astype(np.float64)
+    for _ in range(2):
+        dirs = [r.normal(size=s) for s in shapes]
+
+        def loss(eps):
+            moved = [Tensor(a.astype(np.float64) + eps * d) for a, d in zip(inputs, dirs)]
+            return float(np.mean(fn(*moved).data * w64))
+
+        h = 1e-5
+        want = (loss(h) - loss(-h)) / (2 * h)
+        got = sum(float(np.sum(g.astype(np.float64) * d)) for g, d in zip(grads, dirs))
+        assert np.isfinite(got)
+        assert abs(got - want) <= 1e-4 * abs(want) + 1e-9, (got, want)
