@@ -183,7 +183,7 @@ def load_dataset(path, t_in: int) -> Dataset:
                         f"got {next(csv.reader([line]))[-1]!r}")
     if m.shape[1] - 1 != t_in:
         raise DataError(
-            f"expected {t_in} features per row, file has {[m.shape[1] - 1]}")
+            f"expected {t_in} features per row, file has {m.shape[1] - 1}")
     return Dataset(x=np.ascontiguousarray(m[:, :-1]),
                    y=(labels == 1).astype(np.uint8),
                    split=np.full(m.shape[0], UNUSED, dtype=np.uint8))

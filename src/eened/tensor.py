@@ -9,16 +9,6 @@ held, as soon as it has called it.
 
 Tensors are float32 or float64. Ops are pure; nothing is recorded unless a
 ``Tape`` is active, so evaluation-mode forward passes carry no bookkeeping.
-
-Step buffers. While a tape is active, every op output, gradient and
-temporary of at least ``_POOL_MIN_BYTES`` is a view of a raw buffer taken
-from a process-wide pool. When the last view of a buffer dies (its closure
-was swept, or its tensor dropped) the buffer goes back to the pool, not to
-the allocator, so the next step reuses the same pages instead of faulting
-fresh ones in. The pool keeps, for each byte size a step asks for, the most
-buffers that were in use at once, until the size goes unasked for two tapes.
-Without an active tape (evaluation, prediction) arrays come from
-``np.empty`` as usual.
 """
 
 from __future__ import annotations
@@ -78,7 +68,6 @@ class Tape:
             raise ContractError("a gradient tape is already active")
         self.active = True
         _ACTIVE = self
-        _POOL.new_tape()
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -124,11 +113,9 @@ def backward(loss: "Tensor") -> None:
     tensor with ``requires_grad`` that the loss depends on.
 
     The sweep consumes the tape: each node's closure is dropped once called,
-    so the forward arrays it saved go back to the buffer pool while the sweep
-    goes on, and a second ``backward`` on the same tape raises
-    ``ContractError``. Gradients and their temporaries come from the pool
-    while the tape is active; a gradient is summed into in place when no
-    other node or array shares its buffer."""
+    so the forward arrays it saved are freed while the sweep goes on, and a
+    second ``backward`` on the same tape raises ``ContractError``. A gradient
+    is summed into in place when no other node or array shares its buffer."""
     tape = loss._tape
     if tape is None or loss._tape_id is None:
         raise ContractError("loss is not recorded on a gradient tape")
@@ -166,146 +153,12 @@ def backward(loss: "Tensor") -> None:
                 elif i in owned and np.result_type(tgt.grad, gi) == tgt.grad.dtype:
                     np.add(tgt.grad, gi, out=tgt.grad)
                 else:
-                    tgt.grad = _ufunc(np.add, tgt.grad, gi)
+                    tgt.grad = tgt.grad + gi
                     owned.add(i)
             del grads
         leaf = node.leaf_tensor
         if leaf is not None:
             leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
-
-
-# ---------------------------------------------------------------------------
-# step buffers
-# ---------------------------------------------------------------------------
-
-# Arrays below this size come from np.empty even under a tape: the allocator
-# serves them from its free lists without touching the kernel.
-_POOL_MIN_BYTES = 1 << 16
-# A byte size that none of this many latest tapes asked for is dropped once
-# all its buffers are back, so a batch shape that stops recurring (another
-# test, the last short batch of an epoch) does not hold its step's memory.
-_POOL_KEEP_TAPES = 2
-
-
-class _Lease:
-    """Owner of one pooled raw buffer while arrays view it. The array made
-    from its ``__array_interface__`` has it as its base, and every view of
-    that array keeps the array alive, so ``__del__`` runs when the last view
-    dies and hands the buffer back."""
-
-    __slots__ = ("__array_interface__", "_raw", "_home")
-
-    def __init__(self, raw: np.ndarray, address: int, home: list, shape, dtype):
-        self._raw = (raw, address)
-        self._home = home  # the pool's free list for this size
-        self.__array_interface__ = {"shape": shape, "typestr": dtype.str,
-                                    "data": (address, False), "version": 3}
-
-    def __del__(self):
-        self._home.append(self._raw)
-
-
-class _SizeClass:
-    __slots__ = ("free", "made", "last_tape")
-
-    def __init__(self):
-        self.free: list = []  # (raw buffer, address) pairs not leased
-        self.made = 0  # buffers of this size in existence, leased or free
-        self.last_tape = 0  # the pool's tape count when last asked for
-
-
-class _Pool:
-    """Free raw buffers keyed by byte size, reused across tapes."""
-
-    def __init__(self):
-        self.sizes: dict[int, _SizeClass] = {}
-        self.tapes = 0
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of every buffer in existence, leased or free."""
-        return sum(nbytes * cls.made for nbytes, cls in self.sizes.items())
-
-    def take(self, shape: tuple, dtype: np.dtype, nbytes: int) -> np.ndarray:
-        cls = self.sizes.get(nbytes)
-        if cls is None:
-            cls = self.sizes[nbytes] = _SizeClass()
-        cls.last_tape = self.tapes
-        if cls.free:
-            raw, address = cls.free.pop()
-        else:
-            raw = np.empty(nbytes, np.uint8)
-            address = raw.ctypes.data
-            cls.made += 1
-        return np.asarray(_Lease(raw, address, cls.free, shape, dtype))
-
-    def new_tape(self) -> None:
-        """Count a tape, and drop the sizes that have gone unasked for
-        _POOL_KEEP_TAPES tapes and have no buffer leased."""
-        self.tapes += 1
-        for nbytes, cls in list(self.sizes.items()):
-            if (self.tapes - cls.last_tape > _POOL_KEEP_TAPES
-                    and len(cls.free) == cls.made):
-                del self.sizes[nbytes]
-
-
-# One pool for the process: tapes live for one step, and the buffers must
-# outlive them to be reused by the next.
-_POOL = _Pool()
-
-
-# Each helper below first checks for an active tape: without one it makes
-# the plain numpy call, so that untaped forwards, which run many small ops,
-# pay nothing for the pool.
-
-
-def _empty(shape: tuple, dtype) -> np.ndarray:
-    """An uninitialised array: pooled while a tape is active and the array
-    is at least _POOL_MIN_BYTES, from np.empty otherwise."""
-    if _ACTIVE is None:
-        return np.empty(shape, dtype)
-    dtype = np.dtype(dtype)
-    nbytes = math.prod(shape) * dtype.itemsize
-    if nbytes < _POOL_MIN_BYTES:
-        return np.empty(shape, dtype)
-    return _POOL.take(tuple(shape), dtype, nbytes)
-
-
-def _ufunc(fn, *args, dtype=None) -> np.ndarray:
-    """``fn(*args)`` written into a fresh ``_empty`` array of the broadcast
-    shape, with numpy's result dtype (or ``dtype``, computed in it)."""
-    if _ACTIVE is None:
-        return fn(*args) if dtype is None else fn(*args, dtype=dtype)
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    if dtype is None:
-        return fn(*args, out=_empty(shape, np.result_type(*args)))
-    return fn(*args, out=_empty(shape, dtype), dtype=dtype)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` written into an ``_empty`` array."""
-    if _ACTIVE is None:
-        return np.matmul(a, b)
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-    return np.matmul(a, b, out=_empty(shape, np.result_type(a, b)))
-
-
-def _copy(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``a`` in an ``_empty`` array (``a`` itself
-    when no tape is active and it is contiguous already)."""
-    if _ACTIVE is None:
-        return np.ascontiguousarray(a)
-    out = _empty(a.shape, a.dtype)
-    np.copyto(out, a)
-    return out
-
-
-def _zeros(shape: tuple, dtype) -> np.ndarray:
-    if _ACTIVE is None:
-        return np.zeros(shape, dtype)
-    out = _empty(shape, dtype)
-    out.fill(0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +276,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _make("add", (a, b), _ufunc(np.add, a.data, b.data), bwd)
+    return _make("add", (a, b), a.data + b.data, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -441,10 +294,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return (_unbroadcast(_ufunc(np.multiply, g, bd), ad.shape),
-                _unbroadcast(_ufunc(np.multiply, g, ad), bd.shape))
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _make("mul", (a, b), _ufunc(np.multiply, ad, bd), bwd)
+    return _make("mul", (a, b), ad * bd, bwd)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -454,8 +306,7 @@ def neg(a: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar (no gradient for the scalar)."""
     c = float(c)
-    return _make("scale", (a,), _ufunc(np.multiply, a.data, c),
-                 lambda g: (_ufunc(np.multiply, g, c),))
+    return _make("scale", (a,), a.data * c, lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -475,23 +326,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return _matmul(g2, bd.T).reshape(ad.shape), _matmul(a2.T, g2)
+            return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
 
-        out = _matmul(a2, bd).reshape(ad.shape[:-1] + bd.shape[1:])
+        out = (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
         return _make("matmul", (a, b), out, bwd)
 
     def bwd(g):
-        ga = _unbroadcast(_matmul(g, bd.swapaxes(-1, -2)), ad.shape)
-        gb = _unbroadcast(_matmul(ad.swapaxes(-1, -2), g), bd.shape)
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
         return ga, gb
 
-    return _make("matmul", (a, b), _matmul(ad, bd), bwd)
+    return _make("matmul", (a, b), ad @ bd, bwd)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"transpose_last2 needs rank >= 2, got shape {a.shape}")
-    return _make("transpose", (a,), _copy(a.data.swapaxes(-1, -2)),
+    return _make("transpose", (a,), np.ascontiguousarray(a.data.swapaxes(-1, -2)),
                  lambda g: (g.swapaxes(-1, -2),))
 
 
@@ -517,10 +368,10 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
     offsets = np.cumsum(widths)[:-1]
 
     def bwd(g):
-        return tuple(_copy(piece) for piece in np.split(g, offsets, axis=-1))
+        return tuple(np.ascontiguousarray(piece)
+                     for piece in np.split(g, offsets, axis=-1))
 
-    out = _empty(lead + (sum(widths),), np.result_type(*(p.data for p in parts)))
-    np.concatenate([p.data for p in parts], axis=-1, out=out)
+    out = np.concatenate([p.data for p in parts], axis=-1)
     return _make("concat", tuple(parts), out, bwd)
 
 
@@ -532,11 +383,11 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     a_shape = a.shape
 
     def bwd(g):
-        full = _zeros(a_shape, g.dtype)
+        full = np.zeros(a_shape, dtype=g.dtype)
         full[..., start:stop] = g
         return (full,)
 
-    return _make("slice", (a,), _copy(a.data[..., start:stop]), bwd)
+    return _make("slice", (a,), np.ascontiguousarray(a.data[..., start:stop]), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -564,12 +415,9 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     if not 0 <= axis < a.ndim:
         raise ShapeError(f"axis {axis} out of range for shape {a.shape}")
     n = a.shape[axis]
-    a_shape = a.shape
 
     def bwd(g):
-        ga = _empty(a_shape, g.dtype)
-        ga[...] = np.expand_dims(g / n, axis)
-        return (ga,)
+        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
     return _make("mean_axis", (a,), a.data.mean(axis=axis), bwd)
 
@@ -596,7 +444,7 @@ def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     """1/(1+exp(-x)) as 0.5*tanh(x/2) + 0.5, in one fresh buffer of x's
     dtype. tanh saturates to +-1 instead of overflowing, so large |x| gives
     exactly 0 or 1."""
-    s = _ufunc(np.multiply, x, 0.5)
+    s = np.multiply(x, 0.5)
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
@@ -607,7 +455,7 @@ def sigmoid(a: Tensor) -> Tensor:
     s = _sigmoid_data(a.data)
 
     def bwd(g):
-        d = _ufunc(np.subtract, 1.0, s, dtype=np.result_type(s, g))  # g * s * (1 - s)
+        d = np.subtract(1.0, s, dtype=np.result_type(s, g))  # g * s * (1 - s)
         d *= s
         d *= g
         return (d,)
@@ -624,7 +472,7 @@ def swish(a: Tensor) -> Tensor:
     def bwd(g):
         # sigmoid(x) is recomputed here so that the forward fills one buffer
         s = _sigmoid_data(x)
-        d = _ufunc(np.subtract, 1.0, s, dtype=np.result_type(s, g))  # g * s * (1 + x*(1-s))
+        d = np.subtract(1.0, s, dtype=np.result_type(s, g))  # g * s * (1 + x*(1-s))
         d *= x
         d += 1.0
         d *= s
@@ -652,12 +500,12 @@ def softmax_rows(a: Tensor) -> Tensor:
     Every output row is nonnegative and sums to 1; adding a constant to a row
     leaves its softmax unchanged up to rounding of the shifted input.
     """
-    y = _ufunc(np.subtract, a.data, a.data.max(axis=-1, keepdims=True))
+    y = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= _row_sum(y)
 
     def bwd(g):
-        d = _ufunc(np.subtract, g, _row_dot(g, y))  # (g - <g, y>) * y
+        d = g - _row_dot(g, y)  # (g - <g, y>) * y
         d *= y
         return (d,)
 
@@ -672,20 +520,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} do not match feature dim {d}")
     xd, gdat = x.data, gamma.data
-    xhat = _ufunc(np.subtract, xd, _row_sum(xd) / d)
+    xhat = xd - _row_sum(xd) / d
     inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + eps)
     xhat *= inv
-    out = _ufunc(np.multiply, xhat, gdat)
+    out = xhat * gdat
     out += beta.data
 
     def bwd(g):
         g2 = g.reshape(-1, d)
         dgamma = np.einsum("ni,ni->i", g2, xhat.reshape(-1, d))
         dbeta = g2.sum(axis=0)
-        dx = _ufunc(np.multiply, g, gdat)  # dL/dxhat, then (dxhat - m1 - xhat*m2) * inv in place
+        dx = g * gdat  # dL/dxhat, then (dxhat - m1 - xhat*m2) * inv in place
         m2 = _row_dot(dx, xhat) / d
         dx -= _row_sum(dx) / d
-        dx -= _ufunc(np.multiply, xhat, m2)
+        dx -= xhat * m2
         dx *= inv
         return dx, dgamma, dbeta
 
@@ -733,18 +581,18 @@ def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
     # kernel is strided, which made every tap product slower
     taps = np.ascontiguousarray(kd.T)
     t = xd.shape[-2]
-    xp = _empty(xd.shape[:-2] + (t + 2 * pad, c), xd.dtype)
+    xp = np.empty(xd.shape[:-2] + (t + 2 * pad, c), xd.dtype)
     xp[..., :pad, :] = 0
     xp[..., pad:pad + t, :] = xd
     xp[..., pad + t:, :] = 0
-    out = _empty(xd.shape, b.data.dtype)
+    out = np.empty(xd.shape, b.data.dtype)
     out[...] = b.data
     # Sum the K taps over slabs of whole samples, so that the running sum and
     # the product stay in cache across the K passes.
     xp3 = xp.reshape((-1,) + xp.shape[-2:])
     out3 = out.reshape((-1,) + out.shape[-2:])
     rows = max(1, _SLAB_ELEMS // (t * c))
-    prod = _empty((min(rows, len(out3)), t, c), out.dtype)
+    prod = np.empty((min(rows, len(out3)), t, c), dtype=out.dtype)
     for i in range(0, len(out3), rows):
         acc, src = out3[i:i + rows], xp3[i:i + rows]
         buf = prod[:len(acc)]
@@ -753,15 +601,14 @@ def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
             acc += buf
 
     def bwd(g):
-        dxp = _zeros(xp.shape, xp.dtype)
-        tap = _empty(g.shape, np.result_type(g, taps))
+        dxp = np.zeros_like(xp)
         dk = np.empty_like(kd)
         lead = tuple(range(g.ndim - 1))
         g3 = g.reshape((-1, t, c))
         for j in range(kk):
-            dxp[..., j:j + t, :] += np.multiply(g, taps[j], out=tap)
+            dxp[..., j:j + t, :] += g * taps[j]
             dk[:, j] = np.einsum("btc,btc->c", g3, xp3[:, j:j + t])
-        dx = _copy(dxp[..., pad:pad + t, :])
+        dx = np.ascontiguousarray(dxp[..., pad:pad + t, :])
         db = g.sum(axis=lead)
         return dx, dk, db
 
@@ -778,19 +625,16 @@ def dropout(x: Tensor, p: float, training: bool,
         return x
     if rng is None:
         raise ContractError("dropout in training mode needs an rng")
-    draw = _empty(x.shape, np.float64)
-    rng.random(out=draw)
-    keep = np.greater_equal(draw, p, out=_empty(x.shape, np.bool_))
-    del draw
+    keep = rng.random(x.shape) >= p
     # x * keep * c equals x * (keep / (1 - p)) bitwise: both round x * c once
     c = x.dtype.type(1) / x.dtype.type(1.0 - p)
 
     def bwd(g):
-        d = _ufunc(np.multiply, g, keep)
+        d = g * keep
         d *= c
         return (d,)
 
-    out = _ufunc(np.multiply, x.data, keep)
+    out = x.data * keep
     out *= c
     return _make("dropout", (x,), out, bwd)
 

@@ -312,8 +312,8 @@ class TestEntryPoint:
         assert result.stdout.startswith("pwff: pass")
 
     def test_toy_training_process_exits_cleanly(self, tmp_path):
-        # taped steps lease pooled buffers, whose owners hand them back from
-        # finalizers, also while the interpreter shuts down
+        # a whole training run in a child process exits 0 and prints nothing
+        # to stderr but its last line: no warning at interpreter shutdown
         out = tmp_path / "m.ckpt"
         result = subprocess.run(
             [sys.executable, "-m", "eened.cli", "train", "--toy", "--out", str(out),

@@ -76,6 +76,13 @@ class TestParseCsv:
                      "0,0,1\n7,8,1\n"):
             assert not sniff_csv(write(tmp_path / "d.csv", text))[0], text
 
+    def test_feature_count_mismatch_names_the_count(self, tmp_path):
+        row = ",".join(["0.5"] * 177) + ",1\n"
+        path = write(tmp_path / "s.csv", row * 2)
+        with pytest.raises(DataError,
+                           match=r"expected 178 features per row, file has 177$"):
+            load_dataset(path, t_in=178)
+
     def test_label_out_of_range(self, tmp_path):
         path = write(tmp_path / "s.csv", "1,2,3,6\n")
         with pytest.raises(DataError, match="label .* got '6'"):

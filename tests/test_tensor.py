@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from eened import tensor
 from eened.config import ModelConfig, TrainConfig
 from eened.model import model_forward_batch, model_init
 from eened.tensor import (ConfigError, ContractError, ShapeError, Tape,
@@ -479,35 +478,12 @@ class TestFloat32Kernels:
 
 
 # ---------------------------------------------------------------------------
-# step buffers: release during the sweep, the pool, in-place accumulation
+# step buffers: release during the sweep, in-place accumulation
 # ---------------------------------------------------------------------------
 
 DESK_MODEL = dict(d_model=64, n_heads=4, head_dim=16, n_blocks=2, d_pwff=256,
                   conv_kernel=15, conv_pad=7, dropout_p=0.1, t_in=178,
                   classifier_hidden=128)
-
-
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """An empty buffer pool for one test; the process's pool is put back."""
-    pool = tensor._Pool()
-    monkeypatch.setattr(tensor, "_POOL", pool)
-    return pool
-
-
-def poison_free_buffers(pool):
-    """Fill every idle pooled buffer with NaN bytes, so that a read of memory
-    an op did not write shows up in its result."""
-    for cls in pool.sizes.values():
-        for raw, _ in cls.free:
-            raw.fill(0xFF)
-
-
-def pooled(*shape):
-    """float32 normal values whose array is above the pool's size floor."""
-    a = RNG.normal(0.0, 1.0, size=shape).astype(np.float32)
-    assert a.nbytes >= tensor._POOL_MIN_BYTES
-    return a
 
 
 class DeskSteps:
@@ -536,8 +512,8 @@ class DeskSteps:
 
 class TestStepBuffers:
     def test_swept_node_releases_its_forward_arrays(self):
-        x = Tensor(pooled(8, 64, 64), requires_grad=True)
-        w = Tensor(pooled(64, 256), requires_grad=True)
+        x = Tensor(rand(8, 64, 64).astype(np.float32), requires_grad=True)
+        w = Tensor(rand(64, 256).astype(np.float32), requires_grad=True)
         with Tape() as tape:
             h = matmul(x, w)
             released = weakref.ref(h.data)  # then held by swish's closure only
@@ -547,52 +523,31 @@ class TestStepBuffers:
             assert len(tape) == 5  # the tape is alive, its arrays are not
             assert released() is None
 
-    def test_third_step_allocates_under_a_tenth_of_the_first(self, fresh_pool):
-        steps = DeskSteps(batch=8, seed=4)
-        grown = []
+    def test_a_finished_step_holds_no_step_buffers(self):
         tracemalloc.start()
         try:
-            for _ in range(3):
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
+            steps = DeskSteps(batch=8, seed=4)
+            param_bytes = sum(t.data.nbytes for t in steps.model.params.tensors())
+            baseline = tracemalloc.get_traced_memory()[0]
+            held = []
+            for _ in range(2):
                 steps.step()
-                grown.append(tracemalloc.get_traced_memory()[1] - before)
+                held.append(tracemalloc.get_traced_memory()[0] - baseline)
         finally:
             tracemalloc.stop()
-        assert grown[0] > 20e6  # the first step fills the pool
-        assert grown[2] < 0.1 * grown[0], grown
+        # what stays is the parameter gradients and small bookkeeping
+        assert max(held) <= 2 * param_bytes, (held, param_bytes)
 
-    def test_alternating_batch_sizes_keep_the_pool_bounded(self, fresh_pool):
-        big, small = DeskSteps(batch=32, seed=1), DeskSteps(batch=7, seed=2)
-        big.step()
-        alone = fresh_pool.nbytes
-        sizes = []
-        for _ in range(3):
-            small.step()
-            big.step()
-            sizes.append(fresh_pool.nbytes)
-        assert sizes[0] > alone
-        assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
-        # once batch 7 stops recurring, its buffers are dropped
-        for _ in range(tensor._POOL_KEEP_TAPES):
-            big.step()
-        assert fresh_pool.nbytes == alone
-
-    def test_losses_do_not_depend_on_what_the_pool_held(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_POOL", tensor._Pool())
+    def test_losses_do_not_depend_on_steps_run_in_between(self):
         steps = DeskSteps(batch=32, seed=5)
-        from_empty = [steps.step() for _ in range(8)]
+        alone = [steps.step() for _ in range(8)]
 
-        # assigned, not monkeypatched, so that the first pool is freed now
-        filled = tensor._POOL = tensor._Pool()
-        other = DeskSteps(batch=32, seed=6)
-        other.step()
-        other.step()
-        DeskSteps(batch=7, seed=7).step()
-        poison_free_buffers(filled)
-        steps = DeskSteps(batch=32, seed=5)
-        from_filled = [steps.step() for _ in range(8)]
-        assert from_filled == from_empty
+        steps, other = DeskSteps(batch=32, seed=5), DeskSteps(batch=7, seed=7)
+        interleaved = []
+        for _ in range(8):
+            other.step()
+            interleaved.append(steps.step())
+        assert interleaved == alone
 
 
 def np_swish_grad(x):
@@ -605,8 +560,8 @@ class TestFanOutAccumulation:
     float64 oracles."""
 
     def test_add_of_one_operand_twice(self):
-        x = Tensor(pooled(8, 64, 64), requires_grad=True)
-        w = pooled(8, 64, 64)
+        x = Tensor(rand(8, 64, 64).astype(np.float32), requires_grad=True)
+        w = rand(8, 64, 64).astype(np.float32)
         with Tape():
             y = swish(x)
             backward(mean_all(mul(add(y, y), Tensor(w))))
@@ -616,9 +571,9 @@ class TestFanOutAccumulation:
     def test_operands_of_one_add_keep_their_own_gradients(self):
         # add hands one g to a and b; a's later second term must not be
         # summed into the buffer that b still reads
-        x1 = Tensor(pooled(8, 64, 64), requires_grad=True)
-        x2 = Tensor(pooled(8, 64, 64), requires_grad=True)
-        w = pooled(8, 64, 64)
+        x1 = Tensor(rand(8, 64, 64).astype(np.float32), requires_grad=True)
+        x2 = Tensor(rand(8, 64, 64).astype(np.float32), requires_grad=True)
+        w = rand(8, 64, 64).astype(np.float32)
         with Tape():
             a, b = swish(x1), swish(x2)
             t = scale(a, 3.0)
@@ -631,12 +586,12 @@ class TestFanOutAccumulation:
                         rtol=1e-5, atol=1e-10)
 
     def test_normalized_input_feeding_several_projections(self):
-        x = Tensor(pooled(8, 64, 64), requires_grad=True)
+        x = Tensor(rand(8, 64, 64).astype(np.float32), requires_grad=True)
         gamma = Tensor(1.0 + rand(64).astype(np.float32), requires_grad=True)
         beta = Tensor(rand(64).astype(np.float32), requires_grad=True)
         ws = [Tensor(0.2 * rand(64, 32).astype(np.float32), requires_grad=True)
               for _ in range(3)]
-        w = pooled(8, 64, 32)
+        w = rand(8, 64, 32).astype(np.float32)
         with Tape():
             xn = layer_norm(x, gamma, beta)
             q, k, v = (matmul(xn, wp) for wp in ws)
@@ -661,9 +616,8 @@ class TestFanOutAccumulation:
             assert_allclose(wp.grad, want_w, rtol=1e-4, atol=1e-9)
 
 
-# One case per op whose outputs, gradients or temporaries come from the pool,
-# at shapes above its size floor: (function of tensors, input shapes).
-POOLED_OP_CASES = {
+# One case per op, taped against untaped: (function of tensors, input shapes).
+TAPED_OP_CASES = {
     "add": (add, [(8, 64, 64), (64,)]),
     "mul": (mul, [(8, 64, 64), (8, 64, 64)]),
     "scale": (lambda a: scale(a, -0.7), [(8, 64, 64)]),
@@ -684,26 +638,20 @@ POOLED_OP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(POOLED_OP_CASES))
-def test_pooled_op_matches_untaped_forward_and_float64_gradient(name, fresh_pool):
-    fn, shapes = POOLED_OP_CASES[name]
-    r = np.random.default_rng(sorted(POOLED_OP_CASES).index(name))
+@pytest.mark.parametrize("name", sorted(TAPED_OP_CASES))
+def test_pooled_op_matches_untaped_forward_and_float64_gradient(name):
+    fn, shapes = TAPED_OP_CASES[name]
+    r = np.random.default_rng(sorted(TAPED_OP_CASES).index(name))
     inputs = [r.normal(size=s).astype(np.float32) for s in shapes]
     untaped = fn(*(Tensor(a) for a in inputs)).data
     w = r.normal(size=untaped.shape).astype(np.float32)
-    assert max(a.nbytes for a in [untaped, *inputs]) >= tensor._POOL_MIN_BYTES
 
-    def taped():
-        ts = [Tensor(a, requires_grad=True) for a in inputs]
-        with Tape():
-            out = fn(*ts)
-            backward(mean_all(mul(out, Tensor(w))))
-        return out.data, [t.grad for t in ts]
-
-    taped()  # fills the pool, whose buffers are then poisoned
-    poison_free_buffers(fresh_pool)
-    out, grads = taped()
-    assert_array_equal(out, untaped)
+    ts = [Tensor(a, requires_grad=True) for a in inputs]
+    with Tape():
+        out = fn(*ts)
+        backward(mean_all(mul(out, Tensor(w))))
+    grads = [t.grad for t in ts]
+    assert_array_equal(out.data, untaped)
 
     # oracle: the float64 untaped forward's derivative along random
     # directions, by central differences
