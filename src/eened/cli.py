@@ -5,8 +5,9 @@ malformed file, wrong feature count), 3 other runtime error, 4 gradient-check
 failure, 5 non-finite training loss (no checkpoint is written). Results go
 to stdout, diagnostics to stderr.
 
-Options may also come from a ``key=value`` config file (--config); explicit
-flags win over the file, the file wins over defaults.
+Options may also come from a ``key=value`` config file (--config) whose keys
+are config fields or split_seed; explicit flags win over the file, the file
+wins over defaults.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .train import NonFiniteLossError, evaluate, gradcheck_suite, train
 
 MODEL_FIELDS = [f.name for f in fields(ModelConfig)]
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
+CONFIG_KEYS = MODEL_FIELDS + TRAIN_FIELDS + ["split_seed"]
 
 # --toy shrinks the network so an end-to-end run stays in CI budget.
 TOY_MODEL = dict(d_model=32, n_heads=4, head_dim=8, n_blocks=1, d_pwff=64,
@@ -48,10 +50,13 @@ def _read_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key = key.strip().replace("-", "_")
             value = value.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
             try:
                 out[key] = ast.literal_eval(value)
             except (ValueError, SyntaxError):
-                out[key] = value  # bare strings (paths) stay strings
+                raise ConfigError(
+                    f"{path}:{lineno}: {key}: not a number: {value!r}") from None
     return out
 
 
@@ -60,7 +65,7 @@ def _merge_options(args, defaults: dict) -> dict:
     merged = dict(defaults)
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
-    for key in MODEL_FIELDS + TRAIN_FIELDS + ["split_seed"]:
+    for key in CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value

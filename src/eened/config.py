@@ -8,6 +8,14 @@ from dataclasses import dataclass, fields
 from .tensor import ConfigError
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters.
@@ -36,7 +44,7 @@ class ModelConfig:
         for name in ("d_model", "n_blocks", "n_heads", "head_dim", "conv_kernel",
                      "d_pwff", "t_in", "classifier_hidden"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         if self.n_heads * self.head_dim != self.d_model:
             raise ConfigError(
@@ -48,13 +56,13 @@ class ModelConfig:
                 f"the feed-forward is an expansion layer")
         if self.conv_kernel % 2 == 0:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
-        if self.conv_pad != (self.conv_kernel - 1) // 2:
+        if not _is_int(self.conv_pad) or self.conv_pad != (self.conv_kernel - 1) // 2:
             raise ConfigError(
                 f"conv_pad must be (conv_kernel - 1) / 2 = "
                 f"{(self.conv_kernel - 1) // 2}, got {self.conv_pad}")
-        if not 0.0 <= self.dropout_p < 1.0:
+        if not _is_real(self.dropout_p) or not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -77,6 +85,14 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("epochs", "batch_size", "seed", "eval_every", "warmup_steps"):
+            v = getattr(self, name)
+            if not _is_int(v):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        for name in ("lr", "adam_beta1", "adam_beta2", "adam_eps", "weight_decay"):
+            v = getattr(self, name)
+            if not _is_real(v):
+                raise ConfigError(f"{name} must be a real number, got {v!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -91,7 +107,7 @@ class TrainConfig:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")

@@ -14,7 +14,7 @@ Tensors are float32 or float64. Ops are pure; nothing is recorded unless a
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,20 +59,17 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.active = False
         self.swept = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
         if _ACTIVE is not None:
             raise ContractError("a gradient tape is already active")
-        self.active = True
         _ACTIVE = self
         return self
 
     def __exit__(self, *exc) -> bool:
         global _ACTIVE
-        self.active = False
         _ACTIVE = None
         return False
 
@@ -82,7 +79,7 @@ class Tape:
 
 def recording() -> bool:
     """Whether a tape is active, so that ops record nodes."""
-    return _ACTIVE is not None and _ACTIVE.active
+    return _ACTIVE is not None
 
 
 def _leaf_id(tape: Tape, t: "Tensor") -> int:
@@ -100,7 +97,7 @@ def _make(op: str, inputs: Sequence["Tensor"], out_data: np.ndarray,
     """Wrap an op result and record it on the active tape, if any."""
     out = Tensor(out_data)
     tape = _ACTIVE
-    if tape is not None and tape.active:
+    if tape is not None:
         ids = tuple(_leaf_id(tape, t) for t in inputs)
         tape.nodes.append(_Node(op, ids, backward))
         out._tape = tape
@@ -114,8 +111,7 @@ def backward(loss: "Tensor") -> None:
 
     The sweep consumes the tape: each node's closure is dropped once called,
     so the forward arrays it saved are freed while the sweep goes on, and a
-    second ``backward`` on the same tape raises ``ContractError``. A gradient
-    is summed into in place when no other node or array shares its buffer."""
+    second ``backward`` on the same tape raises ``ContractError``."""
     tape = loss._tape
     if tape is None or loss._tape_id is None:
         raise ContractError("loss is not recorded on a gradient tape")
@@ -126,36 +122,18 @@ def backward(loss: "Tensor") -> None:
     tape.swept = True
     nodes = tape.nodes
     nodes[loss._tape_id].grad = np.ones_like(loss.data)
-    # ids of the nodes whose .grad buffer no other node or array shares
-    owned = {loss._tape_id}
     # Inputs always precede their consumers, so one reverse pass suffices and
     # each node's gradient is complete by the time it is visited.
-    for idx in range(len(nodes) - 1, -1, -1):
-        node = nodes[idx]
+    for node in reversed(nodes):
         fn, node.backward = node.backward, None
         g, node.grad = node.grad, None
         if g is None:
             continue
         if fn is not None:
-            grads = [(i, gi, np.may_share_memory(gi, g))
-                     for i, gi in zip(node.inputs, fn(g)) if gi is not None]
-            del fn
-            # a view of g is its target's alone only if g was this node's
-            # alone and no other input receives a view of it (add passes the
-            # same g to both operands)
-            g_passes = idx in owned and sum(view for _, _, view in grads) == 1
-            for i, gi, view in grads:
-                tgt = nodes[i]
-                if tgt.grad is None:
-                    tgt.grad = gi
-                    if isinstance(gi, np.ndarray) and (g_passes or not view):
-                        owned.add(i)
-                elif i in owned and np.result_type(tgt.grad, gi) == tgt.grad.dtype:
-                    np.add(tgt.grad, gi, out=tgt.grad)
-                else:
-                    tgt.grad = tgt.grad + gi
-                    owned.add(i)
-            del grads
+            for i, gi in zip(node.inputs, fn(g)):
+                if gi is not None:
+                    tgt = nodes[i]
+                    tgt.grad = gi if tgt.grad is None else tgt.grad + gi
         leaf = node.leaf_tensor
         if leaf is not None:
             leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
@@ -342,7 +320,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"transpose_last2 needs rank >= 2, got shape {a.shape}")
-    return _make("transpose", (a,), np.ascontiguousarray(a.data.swapaxes(-1, -2)),
+    return _make("transpose", (a,), a.data.swapaxes(-1, -2),
                  lambda g: (g.swapaxes(-1, -2),))
 
 
@@ -387,7 +365,7 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
         full[..., start:stop] = g
         return (full,)
 
-    return _make("slice", (a,), np.ascontiguousarray(a.data[..., start:stop]), bwd)
+    return _make("slice", (a,), a.data[..., start:stop], bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:

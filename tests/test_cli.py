@@ -105,6 +105,35 @@ class TestTrainCommand:
         epochs_logged = re.findall(r"^epoch=(\d+) ", stdout, flags=re.M)
         assert epochs_logged == ["1", "2"]  # flag beat the file's 5
 
+    def test_unknown_config_key_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nlearning_rate=0.5\nbatchsize=7\n")
+        out = tmp_path / "m.ckpt"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--toy", "--out", str(out), "--config", str(cfg))
+        assert code == 1
+        assert f"{cfg}:2" in stderr and "learning_rate" in stderr
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("epochs=five", "epochs"),
+        ("epochs=1.5", "epochs"),
+        ("batch_size=True", "batch_size"),
+        ("lr='0.1'", "lr"),
+        ("dropout_p=[0.1]", "dropout_p"),
+        ("conv_pad=7.0", "conv_pad"),
+    ])
+    def test_wrong_typed_config_value_is_config_error(self, capsys, tmp_path,
+                                                      line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=1\n{line}\n")
+        out = tmp_path / "m.ckpt"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--toy", "--out", str(out), "--config", str(cfg))
+        assert code == 1, stderr
+        assert stderr.startswith("config error:") and key in stderr
+        assert stdout == "" and not out.exists()
+
     def test_determinism_across_runs(self, capsys, tmp_path):
         blobs = []
         for name in ("a.ckpt", "b.ckpt"):

@@ -17,7 +17,7 @@ from eened.tensor import (ConfigError, ContractError, ShapeError, Tape,
                           Tensor, add, backward, clip, concat_last,
                           conv1d_depthwise, conv1d_pointwise, dropout,
                           layer_norm, log, matmul, mean_all, mean_axis, mul,
-                          neg, reshape, scale, sigmoid, slice_last,
+                          neg, recording, reshape, scale, sigmoid, slice_last,
                           softmax_rows, sub, sum_all, swish, transpose_last2)
 from eened.train import adam_step, bce_loss, init_adam
 from oracle_utils import np_depthwise_triple_loop, np_layer_norm, np_sigmoid
@@ -143,10 +143,26 @@ class TestBackwardBasics:
             backward(x)
 
     def test_nested_tape_rejected(self):
-        with Tape():
+        x = Tensor(rand(3), requires_grad=True)
+        with Tape() as outer:
             with pytest.raises(ContractError):
                 with Tape():
                     pass
+            assert recording()  # the rejected tape leaves the outer one on
+            assert add(x, x)._tape is outer
+        assert not recording()
+
+    def test_tape_ends_when_its_block_raises(self):
+        x = Tensor(rand(3), requires_grad=True)
+        with pytest.raises(KeyError):
+            with Tape():
+                raise KeyError("inside the step")
+        assert not recording()
+        assert add(x, x)._tape is None
+        with Tape() as tape:
+            backward(sum_all(x))
+        assert len(tape) == 2
+        assert_array_equal(x.grad, np.ones(3))
 
     def test_grad_accumulates_across_tapes(self):
         x = Tensor(rand(3), requires_grad=True)
@@ -478,7 +494,7 @@ class TestFloat32Kernels:
 
 
 # ---------------------------------------------------------------------------
-# step buffers: release during the sweep, in-place accumulation
+# step buffers: release during the sweep, summed fan-out gradients
 # ---------------------------------------------------------------------------
 
 DESK_MODEL = dict(d_model=64, n_heads=4, head_dim=16, n_blocks=2, d_pwff=256,
@@ -556,8 +572,7 @@ def np_swish_grad(x):
 
 
 class TestFanOutAccumulation:
-    """Gradients summed from several consumers, some of them in place, against
-    float64 oracles."""
+    """Gradients summed from several consumers, against float64 oracles."""
 
     def test_add_of_one_operand_twice(self):
         x = Tensor(rand(8, 64, 64).astype(np.float32), requires_grad=True)
@@ -569,8 +584,8 @@ class TestFanOutAccumulation:
         assert_allclose(x.grad, want, rtol=1e-5, atol=1e-10)
 
     def test_operands_of_one_add_keep_their_own_gradients(self):
-        # add hands one g to a and b; a's later second term must not be
-        # summed into the buffer that b still reads
+        # add hands the same g array to a and b; summing a's later second
+        # term must leave the gradient b received as it was
         x1 = Tensor(rand(8, 64, 64).astype(np.float32), requires_grad=True)
         x2 = Tensor(rand(8, 64, 64).astype(np.float32), requires_grad=True)
         w = rand(8, 64, 64).astype(np.float32)
@@ -640,6 +655,8 @@ TAPED_OP_CASES = {
 
 @pytest.mark.parametrize("name", sorted(TAPED_OP_CASES))
 def test_pooled_op_matches_untaped_forward_and_float64_gradient(name):
+    """Each op taped: the forward equals the untaped one bitwise, and the
+    gradient matches the float64 forward's central differences."""
     fn, shapes = TAPED_OP_CASES[name]
     r = np.random.default_rng(sorted(TAPED_OP_CASES).index(name))
     inputs = [r.normal(size=s).astype(np.float32) for s in shapes]
