@@ -72,7 +72,10 @@ def _merge_options(args, defaults: dict) -> dict:
     return merged
 
 
-def _build_configs(args, toy: bool) -> tuple[ModelConfig, TrainConfig, int]:
+def _build_configs(args, toy: bool, checkpoint: Optional[ModelConfig] = None
+                   ) -> tuple[ModelConfig, TrainConfig, int]:
+    """Configs from defaults, --config and flags. Given a checkpoint's model
+    config, that config is used, and a model field set here must match it."""
     defaults: dict = {}
     if toy:
         defaults.update(TOY_MODEL)
@@ -83,7 +86,14 @@ def _build_configs(args, toy: bool) -> tuple[ModelConfig, TrainConfig, int]:
     if "seed" in merged:
         model_kwargs.setdefault("seed", merged["seed"])
         train_kwargs.setdefault("seed", merged["seed"])
-    mcfg = ModelConfig(**model_kwargs)
+    if checkpoint is None:
+        mcfg = ModelConfig(**model_kwargs)
+    else:
+        mcfg = checkpoint
+        for key, value in model_kwargs.items():
+            if value != getattr(mcfg, key):
+                raise ConfigError(f"{key} is {value!r} here but "
+                                  f"{getattr(mcfg, key)!r} in the checkpoint")
     tcfg = TrainConfig(**train_kwargs)
     split_seed = merged.get("split_seed", tcfg.seed)
     if not isinstance(split_seed, int) or split_seed < 0:
@@ -136,8 +146,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    mcfg = model.config
-    _, _, split_seed = _build_configs(args, False)
+    mcfg, _, split_seed = _build_configs(args, False, model.config)
     dataset = _load_split_dataset(args, mcfg, split_seed)
     metrics = evaluate(model, dataset, threshold=args.threshold)
     print(metrics.report(), end="")

@@ -108,14 +108,14 @@ def model_init(cfg: ModelConfig, dtype: str | np.dtype = "float32", *,
     return m
 
 
-# Cache budget of the untaped eval forward, in elements of one activation
-# array: 2**18 float32 elements are 1 MB, half the L2 of one core of the
-# machine the benchmark figures come from (Intel Xeon, 2 MB L2 per core);
-# blocks of 3 to 5 desk-config rows were the fastest. A block also holds at
-# least EVAL_BLOCK_MIN_STEPS time steps, so that every weight product is a
-# GEMM of at least that many rows: with the default config one 178-step row
-# per block was slower than two, whose widest activation overflows the
-# budget.
+# Cache budget of one eval block, in elements of one activation array, per
+# core: the blocks run in parallel, one per core, so each gets its own core's
+# L2. 2**18 float32 elements are 1 MB, half the L2 of one core of the machine
+# the benchmark figures come from (Intel Xeon, 2 MB L2 per core); blocks of 3
+# to 5 desk-config rows were the fastest. A block also holds at least
+# EVAL_BLOCK_MIN_STEPS time steps, so that every weight product is a GEMM of
+# at least that many rows: with the default config one 178-step row per block
+# was slower than two, whose widest activation overflows the budget.
 EVAL_BLOCK_ELEMS = 1 << 18
 EVAL_BLOCK_MIN_STEPS = 256
 
@@ -130,6 +130,15 @@ def eval_block_rows(cfg: ModelConfig) -> int:
                EVAL_BLOCK_ELEMS // widest)
 
 
+def eval_workers() -> int:
+    """Threads for the untaped eval forward: one per CPU this process may
+    run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
                         rng: np.random.Generator | None = None) -> Tensor:
     """Probabilities for a (B, t_in) batch of segments, returned as (B,).
@@ -139,8 +148,13 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
     encoder runs over blocks of ``eval_block_rows`` rows whose activations
     stay in cache; the probabilities match the row-by-row forward's to float
     rounding (BLAS may order a product's sums differently for another row
-    count). Taped or training forwards run the whole batch in one pass, so
-    the tape graph and the dropout stream do not depend on the block size.
+    count). The blocks run on a thread pool of ``eval_workers`` threads, at
+    most one per block, that lives for this call; each block computes what
+    it would serially and writes only its own rows, so the result is bitwise
+    the same for any number of threads. With one block or one CPU they run
+    in the calling thread. Taped or training forwards run the whole batch in
+    one pass, so the tape graph and the dropout stream do not depend on the
+    block size.
     """
     if x.ndim != 2 or x.shape[1] != m.config.t_in:
         raise ShapeError(
@@ -151,8 +165,23 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
         return _forward(m, x, training, rng)
     rows = eval_block_rows(m.config)
     out = np.empty(x.shape[0], dtype=m.dtype)
-    for i in range(0, len(out), rows):
+    starts = range(0, len(out), rows)
+
+    def run_block(i: int) -> None:
         out[i:i + rows] = _forward(m, Tensor(x.data[i:i + rows]), False, None).data
+
+    workers = min(eval_workers(), len(starts))
+    if workers <= 1:
+        for i in starts:
+            run_block(i)
+    else:
+        # imported here: concurrent.futures pulls in logging (about 0.5 MB
+        # resident), which forwards that never start a pool need not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        # map re-raises a block's exception here and cancels the queued ones
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run_block, starts))
     return Tensor(out)
 
 

@@ -106,8 +106,8 @@ def evaluate(m: EenedModel, dataset: Dataset, tag: int = TEST,
     """Deterministic eval-mode confusion counts at the given threshold.
 
     ``batch_size`` only sets how many rows are gathered per call of
-    ``model_forward_batch``, which runs them in cache-sized blocks; it does
-    not affect the counts.
+    ``model_forward_batch``, which runs them in cache-sized blocks, one
+    thread per CPU; it does not affect the counts.
     """
     tp = fp = tn = fn = 0
     for batch in batches(dataset, tag, batch_size, shuffle_seed=None):

@@ -179,6 +179,29 @@ class TestEvalCommand:
 
         assert positives("0.9") <= positives("0.5")
 
+    def test_model_options_matching_the_checkpoint_are_accepted(
+            self, capsys, tmp_path, trained):
+        # the toy checkpoint has d_model=32; the default n_heads and head_dim
+        # would not fit it, but eval takes them from the checkpoint
+        base = run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
+                       "--seed", "7")
+        assert base[0] == 0
+        assert run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
+                       "--seed", "7", "--d-model", "32") == base
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d_model=32\nn_blocks=1\nepochs=6\n")
+        assert run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
+                       "--seed", "7", "--config", str(cfg)) == base
+
+    def test_model_option_differing_from_the_checkpoint_is_config_error(
+            self, capsys, trained):
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--checkpoint", str(trained), "--toy",
+            "--seed", "7", "--n-blocks", "3")
+        assert code == 1
+        assert stdout == ""
+        assert "n_blocks is 3 here but 1 in the checkpoint" in stderr
+
     def test_garbage_checkpoint_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint at all")

@@ -1,8 +1,12 @@
 """Model assembly, forward contracts, and checkpoint serialization."""
 
+import concurrent.futures
 import gc
+import itertools
 import os
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +19,7 @@ import eened.model
 from eened.config import ModelConfig, model_config_to_text
 from eened.model import (MAGIC, CheckpointError, CheckpointMagicError,
                          CheckpointShapeError, CheckpointTruncatedError,
-                         eval_block_rows, load_checkpoint,
+                         eval_block_rows, eval_workers, load_checkpoint,
                          model_forward_batch, model_init, named_parameters,
                          save_checkpoint)
 from eened.tensor import ConfigError, ShapeError, Tape, Tensor
@@ -116,6 +120,10 @@ def blocked_model(dtype="float32"):
     return model_init(toy_model_config(t_in=128, n_blocks=1), dtype=dtype)
 
 
+def pin_workers(monkeypatch, n):
+    monkeypatch.setattr(eened.model, "eval_workers", lambda: n)
+
+
 class TestBlockedEval:
     def test_block_rows_follow_the_config(self):
         desk = ModelConfig(d_model=64, n_heads=4, head_dim=16, n_blocks=2,
@@ -150,8 +158,13 @@ class TestBlockedEval:
             return real(h, *args)
 
         monkeypatch.setattr(eened.model, "encoder_block_forward", spy)
+        pin_workers(monkeypatch, 1)
         model_forward_batch(m, x)
         assert seen == [16, 16, 5]
+        seen.clear()
+        pin_workers(monkeypatch, 2)
+        model_forward_batch(m, x)
+        assert sorted(seen) == [5, 16, 16]
         seen.clear()
         with Tape():
             model_forward_batch(m, x)
@@ -167,6 +180,93 @@ class TestBlockedEval:
                                                        dtype=np.float32)))
             counts.append(len(tape))
         assert counts[0] == counts[1]
+
+
+class TestThreadedEval:
+    def test_workers_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert eval_workers() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert eval_workers() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n", [0, 5, 37, 100])
+    def test_threads_match_one_worker_bitwise(self, monkeypatch, dtype, n):
+        # no rows, one block, two blocks and a rest, six blocks and a rest
+        m = blocked_model(dtype)
+        x = Tensor(np.random.default_rng(n).normal(
+            size=(n, m.config.t_in)).astype(dtype))
+        pin_workers(monkeypatch, 1)
+        serial = model_forward_batch(m, x).data
+        for workers in (2, 3):
+            pin_workers(monkeypatch, workers)
+            assert_array_equal(model_forward_batch(m, x).data, serial)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # every block must land in its own rows once: a lost or misplaced
+        # write changes the result
+        m = blocked_model()
+        workers = (os.cpu_count() or 1) + 2
+        x = Tensor(np.random.default_rng(1).normal(
+            size=(16 * workers + 3, m.config.t_in)).astype(np.float32))
+        pin_workers(monkeypatch, 1)
+        serial = model_forward_batch(m, x).data
+        pin_workers(monkeypatch, workers)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: results.extend(
+                model_forward_batch(m, x).data for _ in range(3)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(results) == 3
+        for got in results:
+            assert_array_equal(got, serial)
+
+    def test_block_error_reraises_and_leaves_no_thread(self, monkeypatch):
+        m = blocked_model()
+        x = Tensor(np.zeros((100, m.config.t_in), dtype=np.float32))
+        calls = itertools.count()
+        real = eened.model.encoder_block_forward
+
+        def fail_second(h, *args):
+            if next(calls) == 1:
+                raise FloatingPointError("block failed")
+            return real(h, *args)
+
+        monkeypatch.setattr(eened.model, "encoder_block_forward", fail_second)
+        pin_workers(monkeypatch, 4)
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError, match="block failed"):
+            model_forward_batch(m, x)
+        assert set(threading.enumerate()) == before
+
+    def test_one_cpu_runs_every_block_in_the_calling_thread(self, monkeypatch):
+        m = blocked_model()
+        x = Tensor(np.zeros((37, m.config.t_in), dtype=np.float32))
+        threads = []
+        real = eened.model.encoder_block_forward
+
+        def spy(h, *args):
+            threads.append(threading.get_ident())
+            return real(h, *args)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(eened.model, "encoder_block_forward", spy)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        pin_workers(monkeypatch, 1)
+        model_forward_batch(m, x)
+        assert threads == [threading.get_ident()] * 3
+        threads.clear()
+        pin_workers(monkeypatch, 4)
+        model_forward_batch(m, Tensor(x.data[:5]))  # one block
+        assert threads == [threading.get_ident()]
 
 
 class TestCheckpoint:
