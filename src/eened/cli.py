@@ -1,25 +1,25 @@
 """Command-line interface: train, eval, gradcheck, predict.
 
 Exit codes: 0 success, 1 configuration error, 2 data error (missing or
-malformed file, wrong feature count), 3 other runtime error, 4 gradient-check
-failure, 5 non-finite training loss (no checkpoint is written). Results go
-to stdout, diagnostics to stderr.
+malformed file, non-finite cell, wrong feature count), 3 other runtime error,
+4 gradient-check failure, 5 non-finite training loss (no checkpoint is
+written). Results go to stdout, diagnostics to stderr.
 
-Options may also come from a ``key=value`` config file (--config) whose keys
-are config fields or split_seed; explicit flags win over the file, the file
-wins over defaults.
+Each config field but seed is a flag; options may also come from a
+``key=value`` file (--config) whose keys are config fields or split_seed.
+Explicit flags win over the file, the file wins over defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
+import math
 import sys
 import time
 from dataclasses import fields
 from typing import Optional
 
-from .config import ModelConfig, TrainConfig
+from .config import ModelConfig, TrainConfig, check_range, read_key_values
 from .data import (DataError, Dataset, load_dataset, make_toy_dataset,
                    normalize, read_csv, read_floats, split)
 from .model import (CheckpointError, atomic_write, load_checkpoint,
@@ -38,33 +38,12 @@ TOY_TRAIN = dict(epochs=10, batch_size=32, lr=1e-3)
 TOY_ROWS = 384
 
 
-def _read_config_file(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-            try:
-                out[key] = ast.literal_eval(value)
-            except (ValueError, SyntaxError):
-                raise ConfigError(
-                    f"{path}:{lineno}: {key}: not a number: {value!r}") from None
-    return out
-
-
 def _merge_options(args, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
     merged = dict(defaults)
     if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
+        with open(args.config) as fh:
+            merged.update(read_key_values(fh, args.config, CONFIG_KEYS))
     for key in CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -118,6 +97,7 @@ def _load_split_dataset(args, mcfg: ModelConfig, split_seed: int) -> Dataset:
 
 
 def cmd_train(args) -> int:
+    check_range(args, "finite", math.isfinite, "threshold")
     mcfg, tcfg, split_seed = _build_configs(args, args.toy)
     dataset = _load_split_dataset(args, mcfg, split_seed)
     model = model_init(mcfg)
@@ -145,6 +125,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_range(args, "finite", math.isfinite, "threshold")
     model = load_checkpoint(args.checkpoint)
     mcfg, _, split_seed = _build_configs(args, False, model.config)
     dataset = _load_split_dataset(args, mcfg, split_seed)
@@ -166,13 +147,19 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    check_range(args, "finite", math.isfinite, "threshold", "norm_mean")
+    check_range(args, "finite and > 0", lambda v: math.isfinite(v) and v > 0, "norm_std")
     model = load_checkpoint(args.checkpoint)
     t_in = model.config.t_in
     if args.features:
+        cells = args.features.replace(",", " ").split()
         try:
-            rows = read_floats([",".join(args.features.replace(",", " ").split())])
+            rows = read_floats([",".join(cells)])
         except ValueError as e:
             raise DataError(f"inline feature list: {e}") from None
+        bad = [cell for cell, v in zip(cells, rows[0]) if not math.isfinite(v)]
+        if bad:
+            raise DataError(f"inline feature list: non-finite value {bad[0]!r}")
     elif args.csv:
         rows = read_csv(args.csv)
         if rows.shape[1] == t_in + 1:
@@ -199,17 +186,10 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--seed", type=int, help="seed for init, split, and shuffling")
     sub.add_argument("--split-seed", dest="split_seed", type=int,
                      help="override the train/test split seed")
-    for name in MODEL_FIELDS:
-        if name == "seed":
-            continue
-        sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int
-                         if name != "dropout_p" else float)
-    for name in TRAIN_FIELDS:
-        if name == "seed":
-            continue
-        kind = float if name in ("lr", "adam_beta1", "adam_beta2", "adam_eps",
-                                 "weight_decay") else int
-        sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind)
+    for f in fields(ModelConfig) + fields(TrainConfig):
+        if f.name != "seed":
+            sub.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                             type=type(f.default))
 
 
 def build_parser() -> argparse.ArgumentParser:

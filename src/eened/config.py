@@ -1,19 +1,57 @@
-"""Hyperparameter dataclasses shared by the model, trainer, and CLI."""
+"""Hyperparameter dataclasses shared by the model, trainer, and CLI, and the
+one reader of ``key=value`` text (config files and checkpoint headers)."""
 
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 from .tensor import ConfigError
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def read_key_values(lines: Iterable[str], where, known) -> dict:
+    """``key=value`` lines as a dict: blank and ``#`` lines are skipped, a
+    ``-`` in a key reads as ``_``, and each value is a Python literal. An
+    error names ``where:line``; a key not in ``known`` is an error."""
+    out = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{where}:{lineno}: expected key=value, got {line!r}")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in known:
+            raise ConfigError(f"{where}:{lineno}: unknown option {key!r}")
+        try:
+            out[key] = ast.literal_eval(value)
+        except (ValueError, SyntaxError):
+            raise ConfigError(
+                f"{where}:{lineno}: {key}: unparseable value {value!r}") from None
+    return out
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _check_types(cfg) -> None:
+    """Each field takes the type of its default: an int field a non-bool
+    int, a float field also a finite float."""
+    for f in fields(cfg):
+        v, real = getattr(cfg, f.name), isinstance(f.default, float)
+        ok = isinstance(v, int) or real and isinstance(v, float) and math.isfinite(v)
+        if isinstance(v, bool) or not ok:
+            kind = "a finite real number" if real else "an integer"
+            raise ConfigError(f"{f.name} must be {kind}, got {v!r}")
+
+
+def check_range(obj, rule: str, ok, *names: str) -> None:
+    """Raise for the first attribute of ``obj`` in ``names`` whose value
+    fails ``ok``; the message names it and says it must be ``rule``."""
+    for name in names:
+        v = getattr(obj, name)
+        if not ok(v):
+            raise ConfigError(f"{name} must be {rule}, got {v!r}")
 
 
 @dataclass
@@ -41,11 +79,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("d_model", "n_blocks", "n_heads", "head_dim", "conv_kernel",
-                     "d_pwff", "t_in", "classifier_hidden"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+        _check_types(self)
+        check_range(self, ">= 1", lambda v: v >= 1, "d_model", "n_blocks",
+                    "n_heads", "head_dim", "conv_kernel", "d_pwff", "t_in",
+                    "classifier_hidden")
+        check_range(self, ">= 0", lambda v: v >= 0, "seed")
+        check_range(self, "in [0, 1)", lambda v: 0.0 <= v < 1.0, "dropout_p")
         if self.n_heads * self.head_dim != self.d_model:
             raise ConfigError(
                 f"n_heads * head_dim must equal d_model: "
@@ -56,14 +95,10 @@ class ModelConfig:
                 f"the feed-forward is an expansion layer")
         if self.conv_kernel % 2 == 0:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
-        if not _is_int(self.conv_pad) or self.conv_pad != (self.conv_kernel - 1) // 2:
+        if self.conv_pad != (self.conv_kernel - 1) // 2:
             raise ConfigError(
                 f"conv_pad must be (conv_kernel - 1) / 2 = "
                 f"{(self.conv_kernel - 1) // 2}, got {self.conv_pad}")
-        if not _is_real(self.dropout_p) or not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -85,34 +120,11 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "seed", "eval_every", "warmup_steps"):
-            v = getattr(self, name)
-            if not _is_int(v):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        for name in ("lr", "adam_beta1", "adam_beta2", "adam_eps", "weight_decay"):
-            v = getattr(self, name)
-            if not _is_real(v):
-                raise ConfigError(f"{name} must be a real number, got {v!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0.0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        for name in ("adam_beta1", "adam_beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if self.adam_eps <= 0.0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.warmup_steps < 0:
-            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        _check_types(self)
+        check_range(self, ">= 1", lambda v: v >= 1, "epochs", "batch_size", "eval_every")
+        check_range(self, ">= 0", lambda v: v >= 0, "seed", "warmup_steps", "weight_decay")
+        check_range(self, "positive", lambda v: v > 0, "lr", "adam_eps")
+        check_range(self, "in [0, 1)", lambda v: 0 <= v < 1, "adam_beta1", "adam_beta2")
 
 
 def model_config_to_text(cfg: ModelConfig) -> str:
@@ -125,16 +137,4 @@ def model_config_to_text(cfg: ModelConfig) -> str:
 def model_config_from_text(text: str) -> ModelConfig:
     """Inverse of :func:`model_config_to_text`."""
     known = {f.name for f in fields(ModelConfig)}
-    kwargs = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or key not in known:
-            raise ConfigError(f"unknown model config line {line!r}")
-        try:
-            kwargs[key] = ast.literal_eval(value)
-        except (ValueError, SyntaxError):
-            raise ConfigError(f"unparseable config value in line {line!r}") from None
-    return ModelConfig(**kwargs)
+    return ModelConfig(**read_key_values(text.splitlines(), "model config", known))

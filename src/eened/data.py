@@ -136,6 +136,12 @@ def _data_lines(path, has_header: bool) -> Iterator[tuple[int, str]]:
         yield from islice(lines, int(has_header), None)
 
 
+def _cell(path, has_header: bool, row: int, col: int) -> tuple[int, str]:
+    """(file line number, text) of cell ``col`` of data row ``row``."""
+    lineno, line = next(islice(_data_lines(path, has_header), int(row), None))
+    return lineno, next(csv.reader([line]))[col]
+
+
 def _read_error(path, has_header: bool, first_col: int,
                 cause: ValueError) -> DataError:
     """Find the line that made the whole-file read fail by reading the data
@@ -158,7 +164,8 @@ def _read_error(path, has_header: bool, first_col: int,
 def read_csv(path) -> np.ndarray:
     """Every data row of a CSV file as one (rows, columns) float32 matrix,
     without the header and the id column (see ``sniff_csv``); blank lines
-    are skipped. Errors name the 1-based file line."""
+    are skipped. A cell that is not a finite float32 (``nan``, ``inf``,
+    ``1e39``) is an error. Errors name the 1-based file line."""
     has_header, id_column = sniff_csv(path)
     try:
         m = read_floats((line for _, line in _data_lines(path, has_header)),
@@ -167,6 +174,9 @@ def read_csv(path) -> np.ndarray:
         raise _read_error(path, has_header, int(id_column), e) from None
     if m.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
+    if not np.isfinite(m).all():
+        lineno, cell = _cell(path, has_header, *np.argwhere(~np.isfinite(m))[0])
+        raise DataError(f"{path}:{lineno}: non-finite value {cell!r}")
     return m[:, 1:] if id_column else m
 
 
@@ -177,10 +187,9 @@ def load_dataset(path, t_in: int) -> Dataset:
     labels = m[:, -1]
     bad = np.flatnonzero(~np.isin(labels, np.arange(1, 6)))
     if bad.size:
-        lines = _data_lines(path, sniff_csv(path)[0])
-        lineno, line = next(islice(lines, int(bad[0]), None))
+        lineno, cell = _cell(path, sniff_csv(path)[0], bad[0], -1)
         raise DataError(f"{path}:{lineno}: label must be an integer in 1..5, "
-                        f"got {next(csv.reader([line]))[-1]!r}")
+                        f"got {cell!r}")
     if m.shape[1] - 1 != t_in:
         raise DataError(
             f"expected {t_in} features per row, file has {m.shape[1] - 1}")

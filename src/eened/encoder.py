@@ -11,7 +11,7 @@ tensors are rank <= 2 and broadcast over the batch axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import math
@@ -45,6 +45,25 @@ def child(stream: Optional[SeedStream], name: str) -> Optional[SeedStream]:
     return None if stream is None else stream.child(name)
 
 
+def named(params, prefix: str) -> list[tuple[str, Tensor]]:
+    """The (name, tensor) pairs of a parameter dataclass, in field order: a
+    tensor field is ``prefix.field``, the items of a list field are
+    ``prefix.field0``, ``prefix.field1``, ..., and a nested dataclass is
+    walked under ``prefix.field``. This walk defines the checkpoint order
+    (``named_parameters``), so a reordered or renamed field no longer loads
+    existing checkpoints."""
+    out = []
+    for f in fields(params):
+        value, name = getattr(params, f.name), f"{prefix}.{f.name}"
+        if isinstance(value, Tensor):
+            out.append((name, value))
+        elif isinstance(value, list):
+            out += [(f"{name}{i}", t) for i, t in enumerate(value)]
+        else:
+            out += named(value, name)
+    return out
+
+
 def _zeros(shape, dtype) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype))
 
@@ -68,12 +87,6 @@ class PwffParams:
     b2: Tensor  # (D,)
     ln_gamma: Tensor  # (D,)
     ln_beta: Tensor  # (D,)
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.w1", self.w1), (f"{prefix}.b1", self.b1),
-                (f"{prefix}.w2", self.w2), (f"{prefix}.b2", self.b2),
-                (f"{prefix}.ln_gamma", self.ln_gamma),
-                (f"{prefix}.ln_beta", self.ln_beta)]
 
 
 def pwff_init(stream: Optional[SeedStream], d_model: int, d_pwff: int,
@@ -116,15 +129,6 @@ class MhsaParams:
     o: Tensor  # (D, D)
     ln_gamma: Tensor  # (D,)
     ln_beta: Tensor  # (D,)
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = []
-        for tag, heads in (("q", self.q), ("k", self.k), ("v", self.v)):
-            out.extend((f"{prefix}.{tag}{h}", t) for h, t in enumerate(heads))
-        out.append((f"{prefix}.o", self.o))
-        out.append((f"{prefix}.ln_gamma", self.ln_gamma))
-        out.append((f"{prefix}.ln_beta", self.ln_beta))
-        return out
 
 
 def mhsa_init(stream: Optional[SeedStream], d_model: int, n_heads: int,
@@ -197,14 +201,6 @@ class ConvModuleParams:
     ln_gamma: Tensor  # (D,)
     ln_beta: Tensor  # (D,)
 
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.pw1_w", self.pw1_w), (f"{prefix}.pw1_b", self.pw1_b),
-                (f"{prefix}.glu_w1", self.glu_w1), (f"{prefix}.glu_b1", self.glu_b1),
-                (f"{prefix}.glu_w2", self.glu_w2), (f"{prefix}.glu_b2", self.glu_b2),
-                (f"{prefix}.dw_kernel", self.dw_kernel), (f"{prefix}.dw_bias", self.dw_bias),
-                (f"{prefix}.proj_w", self.proj_w), (f"{prefix}.proj_b", self.proj_b),
-                (f"{prefix}.ln_gamma", self.ln_gamma), (f"{prefix}.ln_beta", self.ln_beta)]
-
 
 def conv_module_init(stream: Optional[SeedStream], d_model: int, kernel: int,
                      dtype) -> ConvModuleParams:
@@ -257,15 +253,6 @@ class EncoderBlockParams:
     pwff_b: PwffParams
     final_ln_gamma: Tensor  # (D,)
     final_ln_beta: Tensor  # (D,)
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = self.pwff_a.named(f"{prefix}.pwff_a")
-        out += self.mhsa.named(f"{prefix}.mhsa")
-        out += self.conv.named(f"{prefix}.conv")
-        out += self.pwff_b.named(f"{prefix}.pwff_b")
-        out.append((f"{prefix}.final_ln_gamma", self.final_ln_gamma))
-        out.append((f"{prefix}.final_ln_beta", self.final_ln_beta))
-        return out
 
 
 def encoder_block_init(stream: Optional[SeedStream], cfg: ModelConfig,

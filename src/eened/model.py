@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import ModelConfig, model_config_from_text, model_config_to_text
 from .encoder import (EncoderBlockParams, child, encoder_block_forward,
-                      encoder_block_init, uniform_init)
+                      encoder_block_init, named, uniform_init)
 from .rng import SeedStream
 from .tensor import (ContractError, ParamStore, ShapeError, Tensor, add,
                      matmul, mean_axis, recording, reshape, sigmoid, swish)
@@ -68,7 +68,7 @@ def named_parameters(m: EenedModel) -> list[tuple[str, Tensor]]:
     """Canonical (name, tensor) walk; defines checkpoint order."""
     out = [("embed.w", m.embed_w), ("embed.b", m.embed_b)]
     for i, block in enumerate(m.blocks):
-        out += block.named(f"block{i}")
+        out += named(block, f"block{i}")
     out += [("head.w1", m.head_w1), ("head.b1", m.head_b1),
             ("head.w2", m.head_w2), ("head.b2", m.head_b2)]
     return out

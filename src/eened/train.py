@@ -13,7 +13,7 @@ from .config import ModelConfig, TrainConfig
 from .data import TEST, TRAIN, Dataset, batches
 from .encoder import (conv_module_forward, conv_module_init,
                       encoder_block_forward, encoder_block_init, mhsa_forward,
-                      mhsa_init, pwff_forward, pwff_init)
+                      mhsa_init, named, pwff_forward, pwff_init)
 from .model import EenedModel, model_forward_batch, model_init
 from .rng import SeedStream
 from .tensor import (ContractError, ParamStore, ShapeError, Tape, Tensor,
@@ -333,22 +333,22 @@ def gradcheck_suite(modules: Optional[list[str]] = None,
     pwff = pwff_init(stream.child("pwff"), d, cfg.d_pwff, dt)
     cases["pwff"] = (
         lambda: _weighted_mean(pwff_forward(x, pwff, cfg), w_out),
-        pwff.named("pwff"))
+        named(pwff, "pwff"))
 
     mhsa = mhsa_init(stream.child("mhsa"), d, cfg.n_heads, cfg.head_dim, dt)
     cases["mhsa"] = (
         lambda: _weighted_mean(mhsa_forward(x, mhsa, cfg), w_out),
-        mhsa.named("mhsa"))
+        named(mhsa, "mhsa"))
 
     conv = conv_module_init(stream.child("conv"), d, cfg.conv_kernel, dt)
     cases["conv"] = (
         lambda: _weighted_mean(conv_module_forward(x, conv, cfg), w_out),
-        conv.named("conv"))
+        named(conv, "conv"))
 
     block = encoder_block_init(stream.child("block"), cfg, dt)
     cases["block"] = (
         lambda: _weighted_mean(encoder_block_forward(x, block, cfg), w_out),
-        block.named("block"))
+        named(block, "block"))
 
     toy = model_init(cfg, dtype=dt)
     xb = Tensor(data_rng.normal(0.0, 1.0, size=(3, cfg.t_in)).astype(dt))

@@ -6,12 +6,14 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import eened
-from eened.cli import main
+from eened.cli import build_parser, main
+from eened.config import ModelConfig, TrainConfig
 from eened.data import TRAIN, make_toy_dataset
 from eened.model import load_checkpoint
 
@@ -134,6 +136,54 @@ class TestTrainCommand:
         assert stderr.startswith("config error:") and key in stderr
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--weight-decay", "nan", "weight_decay"),
+        ("--adam-eps", "nan", "adam_eps"),
+        ("--lr", "inf", "lr"),
+        ("--threshold", "nan", "threshold"),
+    ])
+    def test_non_finite_real_option_is_config_error(self, capsys, tmp_path,
+                                                    flag, value, field):
+        # a nan weight decay trained with decay silently off, a nan eps or
+        # an infinite lr stopped only at step 2 (exit 5), and a nan
+        # threshold labelled every row negative
+        out = tmp_path / "m.ckpt"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--toy", "--out", str(out), "--epochs", "1",
+            f"{flag}={value}")
+        assert code == 1, stderr
+        assert stderr.startswith("config error:")
+        assert field in stderr and "finite" in stderr
+        assert stdout == "" and os.listdir(tmp_path) == []
+
+    def test_non_finite_real_in_config_file_is_config_error(self, capsys,
+                                                           tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr=1e999\n")  # a literal that reads as inf
+        out = tmp_path / "m.ckpt"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--toy", "--out", str(out), "--config", str(cfg))
+        assert code == 1
+        assert "lr must be a finite real number, got inf" in stderr
+        assert stdout == "" and not out.exists()
+
+    def test_comment_lines_and_dashed_keys_in_config_file(self, capsys,
+                                                          tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("epochs=2\neval_every=2\nadam_beta1=0.8\n")
+        dashed = tmp_path / "dashed.cfg"
+        dashed.write_text("# epochs=9\n\n  epochs = 2\n# eval_every=1\n"
+                          "eval-every=2\nadam-beta1 = 0.8\n")
+        outs = []
+        for cfg in (plain, dashed):
+            out = tmp_path / (cfg.stem + ".ckpt")
+            code, stdout, _ = run_cli(capsys, "train", "--toy", "--out",
+                                      str(out), "--seed", "2", "--config", str(cfg))
+            assert code == 0
+            assert re.findall(r"^epoch=(\d+) ", stdout, flags=re.M) == ["2"]
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_determinism_across_runs(self, capsys, tmp_path):
         blobs = []
         for name in ("a.ckpt", "b.ckpt"):
@@ -143,6 +193,20 @@ class TestTrainCommand:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_every_config_field_but_seed_has_a_flag_of_its_type(self, command):
+        parser = build_parser()
+        base = [command] + (["--checkpoint", "x.ckpt"] if command == "eval" else [])
+        for f in fields(ModelConfig) + fields(TrainConfig):
+            if f.name == "seed":
+                continue
+            args = parser.parse_args(base + [f"--{f.name.replace('_', '-')}", "3"])
+            value = getattr(args, f.name)
+            assert value == 3 and type(value) is type(f.default), f.name
+        assert type(parser.parse_args(base + ["--seed", "3"]).seed) is int
 
 
 class TestEvalCommand:
@@ -201,6 +265,14 @@ class TestEvalCommand:
         assert code == 1
         assert stdout == ""
         assert "n_blocks is 3 here but 1 in the checkpoint" in stderr
+
+    def test_non_finite_threshold_is_config_error(self, capsys, trained):
+        # a nan threshold labelled every row negative and exited 0
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--checkpoint", str(trained), "--toy",
+            "--seed", "7", "--threshold", "nan")
+        assert code == 1
+        assert stdout == "" and "threshold must be finite" in stderr
 
     def test_garbage_checkpoint_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -318,6 +390,41 @@ class TestPredictCommand:
             outs.append(out)
         assert len(outs[1].splitlines()) == len(rows)
         assert outs[1] == outs[0]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--threshold", "nan"), ("--threshold", "inf"),
+        ("--norm-std", "0"), ("--norm-std", "-1"), ("--norm-std", "nan"),
+        ("--norm-std", "inf"), ("--norm-mean", "nan"), ("--norm-mean", "-inf"),
+    ])
+    def test_bad_float_option_is_config_error(self, capsys, trained, flag,
+                                              value):
+        # --norm-std 0 printed p=nan label=0 and exited 0
+        features = ",".join(["0.25"] * load_checkpoint(trained).config.t_in)
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained),
+            "--features", features, f"{flag}={value}")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"config error: {flag[2:].replace('-', '_')} must be")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_features_are_data_error(self, capsys, tmp_path,
+                                                trained, cell):
+        # a nan or inf cell was scored p=nan label=0 and exited 0
+        t_in = load_checkpoint(trained).config.t_in
+        cells = ["0.3"] * t_in
+        cells[1] = cell
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained),
+            "--features=" + ",".join(cells))
+        assert code == 2
+        assert stdout == "" and f"non-finite value '{cell}'" in stderr
+        seg = tmp_path / "segments.csv"
+        seg.write_text(",".join(["0.3"] * t_in) + "\n" + ",".join(cells) + "\n")
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained), "--csv", str(seg))
+        assert code == 2
+        assert stdout == "" and f"segments.csv:2: non-finite value '{cell}'" in stderr
 
     def test_needs_an_input_source(self, capsys, trained):
         code, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(trained))

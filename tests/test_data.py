@@ -126,6 +126,16 @@ class TestParseCsv:
         with pytest.raises(DataError, match=f"s.csv:6: {re.escape(message)}"):
             load_dataset(write(tmp_path / "s.csv", text), t_in=2)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_cell_is_a_data_error(self, tmp_path, cell):
+        # such a row once loaded and was scored p=nan; 1e39 overflows
+        # float32 to inf
+        path = write(tmp_path / "s.csv", f"id,a,b,y\nr0,1,2,1\nr1,3,{cell},2\n")
+        for read in (read_csv, lambda p: load_dataset(p, t_in=2)):
+            with pytest.raises(DataError,
+                               match=f"s.csv:3: non-finite value '{re.escape(cell)}'"):
+                read(path)
+
     def test_hash_is_a_cell_character_not_a_comment(self, tmp_path):
         path = write(tmp_path / "s.csv", "1,2,3,1\n4,5#x,6,1\n")
         with pytest.raises(DataError, match=":2: non-numeric feature value '5#x'"):

@@ -70,6 +70,40 @@ class TestModelInit:
         with pytest.raises(ConfigError, match="d_pwff"):
             ModelConfig(d_pwff=100)
 
+    def test_parameter_walk_is_pinned(self):
+        # checkpoints store the tensors under these names in this order:
+        # a change here stops every existing checkpoint from loading
+        expected = [
+            "embed.w", "embed.b", "block0.pwff_a.w1", "block0.pwff_a.b1",
+            "block0.pwff_a.w2", "block0.pwff_a.b2", "block0.pwff_a.ln_gamma",
+            "block0.pwff_a.ln_beta", "block0.mhsa.q0", "block0.mhsa.q1",
+            "block0.mhsa.k0", "block0.mhsa.k1", "block0.mhsa.v0",
+            "block0.mhsa.v1", "block0.mhsa.o", "block0.mhsa.ln_gamma",
+            "block0.mhsa.ln_beta", "block0.conv.pw1_w", "block0.conv.pw1_b",
+            "block0.conv.glu_w1", "block0.conv.glu_b1", "block0.conv.glu_w2",
+            "block0.conv.glu_b2", "block0.conv.dw_kernel",
+            "block0.conv.dw_bias", "block0.conv.proj_w", "block0.conv.proj_b",
+            "block0.conv.ln_gamma", "block0.conv.ln_beta", "block0.pwff_b.w1",
+            "block0.pwff_b.b1", "block0.pwff_b.w2", "block0.pwff_b.b2",
+            "block0.pwff_b.ln_gamma", "block0.pwff_b.ln_beta",
+            "block0.final_ln_gamma", "block0.final_ln_beta",
+            "block1.pwff_a.w1", "block1.pwff_a.b1", "block1.pwff_a.w2",
+            "block1.pwff_a.b2", "block1.pwff_a.ln_gamma",
+            "block1.pwff_a.ln_beta", "block1.mhsa.q0", "block1.mhsa.q1",
+            "block1.mhsa.k0", "block1.mhsa.k1", "block1.mhsa.v0",
+            "block1.mhsa.v1", "block1.mhsa.o", "block1.mhsa.ln_gamma",
+            "block1.mhsa.ln_beta", "block1.conv.pw1_w", "block1.conv.pw1_b",
+            "block1.conv.glu_w1", "block1.conv.glu_b1", "block1.conv.glu_w2",
+            "block1.conv.glu_b2", "block1.conv.dw_kernel",
+            "block1.conv.dw_bias", "block1.conv.proj_w", "block1.conv.proj_b",
+            "block1.conv.ln_gamma", "block1.conv.ln_beta", "block1.pwff_b.w1",
+            "block1.pwff_b.b1", "block1.pwff_b.w2", "block1.pwff_b.b2",
+            "block1.pwff_b.ln_gamma", "block1.pwff_b.ln_beta",
+            "block1.final_ln_gamma", "block1.final_ln_beta", "head.w1",
+            "head.b1", "head.w2", "head.b2"
+        ]
+        assert [name for name, _ in named_parameters(toy_model())] == expected
+
     def test_param_names_unique_and_ordered(self):
         m = toy_model()
         names = [name for name, _ in named_parameters(m)]

@@ -654,7 +654,7 @@ TAPED_OP_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(TAPED_OP_CASES))
-def test_pooled_op_matches_untaped_forward_and_float64_gradient(name):
+def test_taped_op_matches_untaped_forward_and_float64_gradient(name):
     """Each op taped: the forward equals the untaped one bitwise, and the
     gradient matches the float64 forward's central differences."""
     fn, shapes = TAPED_OP_CASES[name]

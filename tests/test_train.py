@@ -17,8 +17,8 @@ from eened.config import TrainConfig
 from eened.data import TRAIN, make_toy_dataset
 from eened.model import model_forward_batch, model_init, named_parameters
 from eened.rng import SeedStream
-from eened.tensor import (ContractError, ParamStore, Tape, Tensor, backward,
-                          _make)
+from eened.tensor import (ConfigError, ContractError, ParamStore, Tape, Tensor,
+                          backward, _make)
 from eened.train import (AdamState, EpochLog, Metrics, NonFiniteLossError,
                          adam_step, bce_loss, evaluate, gradcheck,
                          gradcheck_suite, init_adam, toy_model_config, train)
@@ -223,6 +223,26 @@ class TestAdam:
         store["w"].grad = np.ones(1)
         adam_step(store, init_adam(store), TrainConfig())
         assert store["w"] is ref
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ("adam_eps", math.nan), ("adam_eps", math.inf),
+        ("lr", math.inf), ("lr", math.nan),
+    ])
+    def test_non_finite_real_is_config_error(self, field, value):
+        # a nan weight decay trained with decay silently off (nan > 0 is
+        # False), and a nan eps or an infinite lr only failed at step 2
+        with pytest.raises(ConfigError, match=f"{field} must be a finite real"):
+            TrainConfig(**{field: value})
+
+    def test_field_types_follow_the_defaults(self):
+        assert TrainConfig(lr=1, weight_decay=0).lr == 1  # an int is a real
+        for kwargs in ({"epochs": 2.0}, {"batch_size": True}, {"lr": True},
+                       {"adam_eps": "1e-8"}, {"warmup_steps": None}):
+            with pytest.raises(ConfigError, match=next(iter(kwargs))):
+                TrainConfig(**kwargs)
 
 
 def training_setup(n=32, t_in=16, seed=0, **cfg_overrides):
