@@ -75,7 +75,7 @@ def _build_configs(args, toy: bool, checkpoint: Optional[ModelConfig] = None
                                   f"{getattr(mcfg, key)!r} in the checkpoint")
     tcfg = TrainConfig(**train_kwargs)
     split_seed = merged.get("split_seed", tcfg.seed)
-    if not isinstance(split_seed, int) or split_seed < 0:
+    if type(split_seed) is not int or split_seed < 0:
         raise ConfigError(f"split_seed must be a nonnegative integer, got {split_seed!r}")
     return mcfg, tcfg, split_seed
 
@@ -135,6 +135,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    check_range(args, "finite and > 0", lambda v: math.isfinite(v) and v > 0, "tolerance")
     modules = args.module.split(",") if args.module else None
     reports = gradcheck_suite(modules, tolerance=args.tolerance)
     failed = [name for name, rep in reports.items() if not rep.passed]

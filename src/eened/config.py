@@ -4,7 +4,7 @@ one reader of ``key=value`` text (config files and checkpoint headers)."""
 from __future__ import annotations
 
 import ast
-import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -36,13 +36,18 @@ def read_key_values(lines: Iterable[str], where, known) -> dict:
 
 def _check_types(cfg) -> None:
     """Each field takes the type of its default: an int field a non-bool
-    int, a float field also a finite float."""
+    int; a float field also a float, finite as a float. A float field keeps
+    the value as a float, so equal configs serialize alike."""
     for f in fields(cfg):
         v, real = getattr(cfg, f.name), isinstance(f.default, float)
-        ok = isinstance(v, int) or real and isinstance(v, float) and math.isfinite(v)
-        if isinstance(v, bool) or not ok:
+        ok = isinstance(v, int) and not isinstance(v, bool)
+        if real:
+            ok = (ok or isinstance(v, float)) and abs(v) <= sys.float_info.max
+        if not ok:
             kind = "a finite real number" if real else "an integer"
             raise ConfigError(f"{f.name} must be {kind}, got {v!r}")
+        if real:
+            setattr(cfg, f.name, float(v))
 
 
 def check_range(obj, rule: str, ok, *names: str) -> None:

@@ -47,10 +47,6 @@ class Dataset:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def t_in(self) -> int:
-        return self.x.shape[1]
-
     def indices_of(self, tag: int) -> np.ndarray:
         return np.flatnonzero(self.split == tag)
 

@@ -172,13 +172,6 @@ def mhsa_forward(x: Tensor, p: MhsaParams, cfg: ModelConfig,
     return dropout(out, cfg.dropout_p, training, rng)
 
 
-def attention_weights(x: Tensor, p: MhsaParams, cfg: ModelConfig) -> list[np.ndarray]:
-    """The per-head A_h matrices for a given input (diagnostic path; shares
-    the forward's definition of the scores)."""
-    xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
-    return [_attention(xn, qh, kh, cfg).data for qh, kh in zip(p.q, p.k)]
-
-
 # ---------------------------------------------------------------------------
 # convolution module
 # ---------------------------------------------------------------------------

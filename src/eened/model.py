@@ -7,8 +7,9 @@ config, then every parameter in canonical walk order as (u32 name length,
 name, u8 rank, u32 extents, little-endian f32 payload). All integers are
 little-endian. Round-tripping a float32 model is bitwise lossless.
 
-Loading draws no random numbers and holds no copy of the file: the model's
-parameter arrays are allocated empty (``model_init`` with ``_draw=False``)
+A checkpoint always loads as a float32 model. Loading draws no random
+numbers and holds no copy of the file: the model's parameter arrays are
+allocated empty (``model_init`` with ``_draw=False``)
 and each payload is read from the open file straight into its array, so a
 load costs about one pass over the file and its peak memory is about the
 parameters' own size.
@@ -20,6 +21,7 @@ import contextlib
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,7 +227,8 @@ def atomic_write(path):
 
 def save_checkpoint(m: EenedModel, path) -> None:
     """Write the model to ``path`` with ``atomic_write``. Payloads are
-    little-endian float32, so saving a float64 model rounds its values."""
+    little-endian float32, so a float64 model is saved rounded and loads
+    back as float32."""
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         cfg_text = model_config_to_text(m.config).encode("utf-8")
@@ -279,24 +282,20 @@ class _Reader:
         return self.take(1)[0]
 
 
-def load_checkpoint(path, dtype: str | np.dtype = "float32") -> EenedModel:
-    """Read a checkpoint and return a model; validates magic, config
+def load_checkpoint(path) -> EenedModel:
+    """Read a checkpoint and return a float32 model; validates magic, config
     invariants, and every tensor against the config's shape table. Nothing
     is drawn at random: the parameter arrays are allocated empty, and each
-    payload is read from the file straight into its array (through one
-    reused float32 scratch buffer, then cast, when the model's arrays are
-    not native little-endian float32). Any failure raises, so a partly
-    filled model is never returned."""
+    payload is read from the file straight into its array (and byteswapped
+    in place on a big-endian host). Any failure raises, so a partly filled
+    model is never returned."""
     with open(path, "rb") as fh:
         r = _Reader(fh)
         if r.take(len(MAGIC)) != MAGIC:
             raise CheckpointMagicError(f"{path}: not a model checkpoint (bad magic)")
         cfg = model_config_from_text(r.take(r.u32()).decode("utf-8", "replace"))
-        m = model_init(cfg, dtype, _draw=False)
-        params = named_parameters(m)
-        direct = m.dtype == np.dtype("<f4")
-        scratch = None if direct else np.empty(max(t.size for _, t in params), "<f4")
-        for name, tensor in params:
+        m = model_init(cfg, _draw=False)
+        for name, tensor in named_parameters(m):
             stored = r.take(r.u32())
             if stored != name.encode("utf-8"):
                 raise CheckpointError(f"{path}: expected tensor {name!r}, "
@@ -306,12 +305,11 @@ def load_checkpoint(path, dtype: str | np.dtype = "float32") -> EenedModel:
             if shape != tensor.shape:
                 raise CheckpointShapeError(
                     f"{path}: tensor {name!r} has shape {shape}, config implies {tensor.shape}")
-            payload = tensor.data if direct else scratch[:tensor.size].reshape(shape)
-            r.take_into(payload)
-            if not np.isfinite(payload).all():
+            r.take_into(tensor.data)
+            if sys.byteorder != "little":
+                tensor.data.byteswap(inplace=True)
+            if not np.isfinite(tensor.data).all():
                 raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
-            if not direct:
-                tensor.data[...] = payload
         if r.pos != r.size:
             raise CheckpointError(f"{path}: {r.size - r.pos} unexpected trailing bytes")
     return m

@@ -73,9 +73,6 @@ class Tape:
         _ACTIVE = None
         return False
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def recording() -> bool:
     """Whether a tape is active, so that ops record nodes."""
@@ -153,8 +150,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_tape_id")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.ndim > 3:
@@ -641,23 +638,8 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def names(self) -> list[str]:
-        return list(self._items)
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._items.items())
-
-    def tensors(self) -> Iterator[Tensor]:
-        return iter(self._items.values())
-
-    def n_params(self) -> int:
-        return sum(t.size for t in self._items.values())
 
     def zero_grad(self) -> None:
         for t in self._items.values():

@@ -167,6 +167,18 @@ class TestTrainCommand:
         assert "lr must be a finite real number, got inf" in stderr
         assert stdout == "" and not out.exists()
 
+    def test_bool_split_seed_in_config_file_is_config_error(self, capsys,
+                                                            tmp_path):
+        # a bool is an int to isinstance: the split ran with the seed True
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("split_seed=True\n")
+        out = tmp_path / "m.ckpt"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--toy", "--out", str(out), "--config", str(cfg))
+        assert code == 1
+        assert "split_seed must be a nonnegative integer, got True" in stderr
+        assert stdout == "" and not out.exists()
+
     def test_comment_lines_and_dashed_keys_in_config_file(self, capsys,
                                                           tmp_path):
         plain = tmp_path / "plain.cfg"
@@ -295,6 +307,15 @@ class TestGradcheckCommand:
         assert code == 4
         assert "FAIL" in stdout
         assert "pwff" in stderr
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "-1"])
+    def test_bad_tolerance_is_config_error(self, capsys, tolerance):
+        # each used to run the check and exit 4, a gradient-check failure
+        code, stdout, stderr = run_cli(
+            capsys, "gradcheck", "--module", "pwff", "--tolerance", tolerance)
+        assert code == 1
+        assert stdout == ""
+        assert "tolerance must be finite and > 0" in stderr
 
     def test_unknown_module_is_config_error_exit(self, capsys):
         code, _, stderr = run_cli(capsys, "gradcheck", "--module", "typo")

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eened.config import ModelConfig
-from eened.encoder import (LN_EPS, ConvModuleParams, attention_weights,
+from eened.encoder import (LN_EPS, ConvModuleParams, _attention,
                            conv_module_forward, conv_module_init,
                            encoder_block_forward, encoder_block_init,
                            mhsa_forward, mhsa_init, pwff_forward, pwff_init)
@@ -29,6 +29,12 @@ def small_cfg(**overrides):
 
 def rand_x(t, d, seed=0):
     return np.random.default_rng(seed).normal(0.0, 1.0, size=(t, d))
+
+
+def attention_matrices(x, p, cfg):
+    """Each head's attention matrix A_h, as the forward scores it."""
+    xn = layer_norm(Tensor(x), p.ln_gamma, p.ln_beta, LN_EPS)
+    return [_attention(xn, qh, kh, cfg).data for qh, kh in zip(p.q, p.k)]
 
 
 CFG = small_cfg()
@@ -127,7 +133,7 @@ class TestManualForwardOracles:
         cfg = small_cfg(d_model=4, n_heads=2, head_dim=2, d_pwff=4)
         p = mhsa_init(SeedStream(5).child("m"), 4, 2, 2, np.float64)
         x = rand_x(1, 4, seed=8)
-        for a in attention_weights(Tensor(x), p, cfg):
+        for a in attention_matrices(x, p, cfg):
             assert_array_equal(a, [[1.0]])
         mu = x.mean()
         xn = (x - mu) / math.sqrt(x.var() + LN_EPS)
@@ -230,7 +236,7 @@ class TestStructuralProperties:
 
     def test_attention_rows_sum_to_one(self, mhsa):
         x = rand_x(7, CFG.d_model, seed=17)
-        for a in attention_weights(Tensor(x), mhsa, CFG):
+        for a in attention_matrices(x, mhsa, CFG):
             assert np.all(a >= 0)
             assert_allclose(a.sum(axis=-1), np.ones(7), atol=1e-9)
 

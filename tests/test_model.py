@@ -41,7 +41,7 @@ class TestModelInit:
         expected = 3 * 6_574_592 + 1024 + 65_793
         assert expected == 19_790_593
         m = model_init(ModelConfig())
-        assert m.params.n_params() == expected
+        assert sum(t.size for _, t in m.params.items()) == expected
 
     def test_same_seed_is_bitwise_identical(self):
         a, b = toy_model(seed=9), toy_model(seed=9)
@@ -110,7 +110,7 @@ class TestModelInit:
         assert len(names) == len(set(names))
         assert names[0] == "embed.w"
         assert names[-1] == "head.b2"
-        assert m.params.names() == names
+        assert [name for name, _ in m.params.items()] == names
 
 
 class TestForward:
@@ -212,7 +212,7 @@ class TestBlockedEval:
             with Tape() as tape:
                 model_forward_batch(m, Tensor(np.zeros((b, m.config.t_in),
                                                        dtype=np.float32)))
-            counts.append(len(tape))
+            counts.append(len(tape.nodes))
         assert counts[0] == counts[1]
 
 
@@ -304,6 +304,15 @@ class TestThreadedEval:
 
 
 class TestCheckpoint:
+    def test_equal_configs_write_equal_headers(self):
+        # a float field given an int kept the int: dropout_p=0 wrote a
+        # different header than the equal dropout_p=0.0
+        a, b = ModelConfig(dropout_p=0), ModelConfig(dropout_p=0.0)
+        assert a == b
+        assert model_config_to_text(a) == model_config_to_text(b)
+        with pytest.raises(ConfigError, match="dropout_p must be a finite real"):
+            ModelConfig(dropout_p=10 ** 400)  # an int beyond float range
+
     def test_round_trip_bitwise(self, tmp_path):
         m = toy_model(seed=21)
         path = tmp_path / "m.ckpt"
@@ -427,8 +436,7 @@ class TestCheckpoint:
             with pytest.raises(CheckpointTruncatedError, match=f"ends at byte {cut} "):
                 load_checkpoint(cut_path)
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, dtype):
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         m = toy_model(seed=24)
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)
@@ -442,17 +450,15 @@ class TestCheckpoint:
         monkeypatch.setattr(np.random, "Generator", NoDraws)
         with pytest.raises(AssertionError, match="drew random numbers"):
             model_init(m.config)
-        loaded = load_checkpoint(path, dtype=dtype)
+        loaded = load_checkpoint(path)
         for (na, ta), (nb, tb) in zip(named_parameters(m), named_parameters(loaded)):
             assert na == nb
-            assert ta.data.astype(dtype).tobytes() == tb.data.tobytes()
+            assert ta.data.tobytes() == tb.data.tobytes()
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_load_peak_memory_is_about_the_parameter_bytes(self, tmp_path, dtype):
+    def test_load_peak_memory_is_about_the_parameter_bytes(self, tmp_path):
         # no copy of the file and no random draw: the parameters are the
         # only large allocation (a load that drew a random model and read
-        # the whole file into memory peaked at 2.17x for float32 and 1.63x
-        # for float64 on this model)
+        # the whole file into memory peaked at 2.17x on this model)
         cfg = toy_model_config(d_model=128, n_heads=2, head_dim=64,
                                d_pwff=512, n_blocks=2)
         path = tmp_path / "m.ckpt"
@@ -460,12 +466,12 @@ class TestCheckpoint:
         gc.collect()
         tracemalloc.start()
         try:
-            m = load_checkpoint(path, dtype=dtype)
+            m = load_checkpoint(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 4 * m.params.n_params() >= 3 << 20
         param_bytes = sum(t.data.nbytes for _, t in named_parameters(m))
+        assert param_bytes >= 3 << 20
         assert peak < 1.25 * param_bytes
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, full_disk):

@@ -161,7 +161,7 @@ class TestBackwardBasics:
         assert add(x, x)._tape is None
         with Tape() as tape:
             backward(sum_all(x))
-        assert len(tape) == 2
+        assert len(tape.nodes) == 2
         assert_array_equal(x.grad, np.ones(3))
 
     def test_grad_accumulates_across_tapes(self):
@@ -536,14 +536,14 @@ class TestStepBuffers:
             y = swish(h)
             del h
             backward(mean_all(y))
-            assert len(tape) == 5  # the tape is alive, its arrays are not
+            assert len(tape.nodes) == 5  # the tape is alive, its arrays are not
             assert released() is None
 
     def test_a_finished_step_holds_no_step_buffers(self):
         tracemalloc.start()
         try:
             steps = DeskSteps(batch=8, seed=4)
-            param_bytes = sum(t.data.nbytes for t in steps.model.params.tensors())
+            param_bytes = sum(t.data.nbytes for _, t in steps.model.params.items())
             baseline = tracemalloc.get_traced_memory()[0]
             held = []
             for _ in range(2):

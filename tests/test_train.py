@@ -305,7 +305,7 @@ class TestTrainLoop:
         cfg2.seed = 12  # same init/data, different shuffle/dropout draws
         train(m2, ds, cfg2, eval_tag=TRAIN)
         assert any(m1.params[n].data.tobytes() != m2.params[n].data.tobytes()
-                   for n in m1.params.names())
+                   for n, _ in m1.params.items())
 
     def test_returns_best_accuracy_parameters(self):
         m, ds, cfg = training_setup(epochs=3, seed=4)
