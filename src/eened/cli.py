@@ -21,7 +21,7 @@ from typing import Optional
 
 from .config import ModelConfig, TrainConfig, check_range, read_key_values
 from .data import (DataError, Dataset, load_dataset, make_toy_dataset,
-                   normalize, read_csv, read_floats, split)
+                   normalize, read_csv, read_floats, split, zscore)
 from .model import (CheckpointError, atomic_write, load_checkpoint,
                     model_forward_batch, model_init, save_checkpoint)
 from .tensor import ConfigError, Tensor
@@ -169,7 +169,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("predict needs --csv or --features")
     if rows.shape[1] != t_in:
         raise DataError(f"expected {t_in} features per segment, got {rows.shape[1]}")
-    rows = (rows - args.norm_mean) / args.norm_std
+    rows = zscore(rows, args.norm_mean, args.norm_std)
     probs = model_forward_batch(model, Tensor(rows), training=False).data
     for p in probs:
         label = int(p >= args.threshold)

@@ -10,11 +10,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-import eened
+import eened.cli
 from eened.cli import build_parser, main
 from eened.config import ModelConfig, TrainConfig
-from eened.data import TRAIN, make_toy_dataset
+from eened.data import TEST, TRAIN, Dataset, make_toy_dataset, normalize
 from eened.model import load_checkpoint
 
 
@@ -354,6 +355,36 @@ class TestPredictCommand:
             assert code == 0
             outputs.append(stdout)
         assert outputs[0] == outputs[1]
+
+    def test_rows_fed_to_the_model_are_normalize_rows(self, capsys, tmp_path,
+                                                      trained, monkeypatch):
+        # predict z-scored in float32 and rounded twice, so about one element
+        # in five was 1 ulp away from what normalize gives the same rows
+        t_in = load_checkpoint(trained).config.t_in
+        x = np.rint(np.random.default_rng(13).normal(0.0, 60.0, size=(300, t_in)))
+        x = x.astype(np.float32)
+        tags = np.full(300, TEST, np.uint8)
+        tags[:200] = TRAIN
+        ds = normalize(Dataset(x=x, y=np.zeros(300, np.uint8), split=tags))
+        cells = [",".join(f"{v:.0f}" for v in row) for row in x]
+        seg = tmp_path / "segments.csv"  # with a label column, which is dropped
+        seg.write_text("".join(f"{row},1\n" for row in cells))
+        fed = []
+        inner = eened.cli.model_forward_batch
+
+        def capture(model, rows, **kwargs):
+            fed.append(rows.data)
+            return inner(model, rows, **kwargs)
+
+        monkeypatch.setattr(eened.cli, "model_forward_batch", capture)
+        stats = ("--norm-mean", repr(ds.norm_stats[0]),
+                 "--norm-std", repr(ds.norm_stats[1]))
+        for source in (("--csv", str(seg)), ("--features", cells[7])):
+            code, _, _ = run_cli(capsys, "predict", "--checkpoint",
+                                 str(trained), *source, *stats)
+            assert code == 0
+        assert_array_equal(fed[0].view(np.uint32), ds.x.view(np.uint32))
+        assert_array_equal(fed[1].view(np.uint32), ds.x[7:8].view(np.uint32))
 
     def test_wrong_feature_count(self, capsys, trained):
         code, _, stderr = run_cli(

@@ -1,18 +1,20 @@
 """CSV ingestion, the published split protocol, normalization and
 batching."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from eened.data import (TEST, TEST_NEG, TEST_POS, TRAIN, TRAIN_POS, UNUSED,
                         DataError, Dataset, batches, load_dataset,
                         make_toy_dataset, normalize, read_csv, sniff_csv,
-                        split, write_synthetic_public_csv)
+                        split, write_synthetic_public_csv, _CHUNK_ROWS)
 
 
 def write(path, text):
@@ -239,6 +241,35 @@ class TestNormalize:
         test_vals = ds.x[ds.split == TEST].astype(np.float64)
         # transformed with train statistics, so not exactly standardized
         assert abs(test_vals.mean()) > 1e-9 or abs(test_vals.std() - 1.0) > 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_the_whole_array_formula(self, dtype):
+        # a row count that is no multiple of the chunk, a float64 x, and
+        # train rows scattered through the file
+        n = 2 * _CHUNK_ROWS + 37
+        rng = np.random.default_rng(5)
+        x = np.rint(rng.normal(0.0, 150.0, size=(n, 7))).astype(dtype)
+        tags = rng.choice(np.array([TRAIN, TEST, UNUSED], np.uint8), size=n)
+        ds = normalize(Dataset(x=x, y=np.zeros(n, np.uint8), split=tags))
+        values = x[tags == TRAIN].astype(np.float64)
+        mean, std = values.mean(), values.std()
+        assert ds.norm_stats == (mean, std)
+        expected = ((x.astype(np.float64) - mean) / std).astype(np.float32)
+        assert ds.x.dtype == np.float32
+        assert_array_equal(ds.x.view(np.uint32), expected.view(np.uint32))
+
+    def test_peak_memory_is_about_one_copy_of_x(self, public_layout_csv):
+        # whole-file float64 copies peaked at 4.29 x.nbytes
+        ds = split(public_dataset(public_layout_csv), seed=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            normalize(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.x.shape == (11500, 178)
+        assert peak <= 1.6 * ds.x.nbytes
 
     def test_zero_variance(self):
         ds = Dataset(x=np.ones((4, 3), np.float32),

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eened.config import ModelConfig
-from eened.encoder import (LN_EPS, ConvModuleParams, _attention,
+from eened.encoder import (LN_EPS, _attention,
                            conv_module_forward, conv_module_init,
                            encoder_block_forward, encoder_block_init,
                            mhsa_forward, mhsa_init, pwff_forward, pwff_init)

@@ -15,13 +15,13 @@ import eened.encoder
 import eened.train
 from eened.config import TrainConfig
 from eened.data import TRAIN, make_toy_dataset
-from eened.model import model_forward_batch, model_init, named_parameters
+from eened.model import model_forward_batch, model_init
 from eened.rng import SeedStream
 from eened.tensor import (ConfigError, ContractError, ParamStore, Tape, Tensor,
                           backward, _make)
-from eened.train import (AdamState, EpochLog, Metrics, NonFiniteLossError,
-                         adam_step, bce_loss, evaluate, gradcheck,
-                         gradcheck_suite, init_adam, toy_model_config, train)
+from eened.train import (Metrics, NonFiniteLossError, adam_step, bce_loss,
+                         evaluate, gradcheck_suite, init_adam,
+                         toy_model_config, train)
 
 
 class TestBceLoss:
@@ -126,7 +126,7 @@ class TestEvaluate:
     def test_constant_predictor_on_published_test_composition(self, monkeypatch):
         # 379 positives / 1461 negatives: predicting "seizure" everywhere
         # scores exactly 379/1840
-        from eened.data import TEST, Dataset, UNUSED
+        from eened.data import TEST, Dataset
 
         n = 1840
         y = np.zeros(n, np.uint8)
