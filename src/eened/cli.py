@@ -108,9 +108,11 @@ def cmd_train(args) -> int:
         log_lines.append(line)
         print(line)
 
-    model, _ = train(model, dataset, tcfg, threshold=args.threshold, log_fn=log_fn)
+    model, logs = train(model, dataset, tcfg, threshold=args.threshold, log_fn=log_fn)
     save_checkpoint(model, args.out)
-    final = evaluate(model, dataset, threshold=args.threshold)
+    # train() restored the parameters of its first most accurate evaluation,
+    # the one max() picks
+    final = max(logs, key=lambda entry: entry.metrics.accuracy).metrics
     mean, std = dataset.norm_stats
     summary = (final.report()
                + f"norm_mean={mean!r}\nnorm_std={std!r}\n"

@@ -6,7 +6,8 @@ norm. Residual connections live where each forward function documents them;
 the attention branch is returned pre-residual and the caller adds it.
 
 Every forward accepts a (T, D) input or a batched (B, T, D) input; parameter
-tensors are rank <= 2 and broadcast over the batch axis.
+tensors are rank <= 2 and broadcast over the batch axis. A forward applies
+dropout when it is given the dropout ``rng`` (training) and none without one.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .tensor import (Tensor, add, concat_last, conv1d_depthwise,
                      conv1d_pointwise, dropout, layer_norm, matmul, mul,
                      scale, sigmoid, slice_last, softmax_rows, swish,
                      transpose_last2)
-
-LN_EPS = 1e-5
 
 
 def uniform_init(stream: Optional[SeedStream], shape: tuple[int, ...],
@@ -102,15 +101,14 @@ def pwff_init(stream: Optional[SeedStream], d_model: int, d_pwff: int,
 
 
 def pwff_forward(x: Tensor, p: PwffParams, cfg: ModelConfig,
-                 training: bool = False,
                  rng: Optional[np.random.Generator] = None) -> Tensor:
     """x + Dropout(Swish(LN(x) W1 + b1) W2 + b2) / 2 (half-step residual
     included)."""
-    h = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
+    h = layer_norm(x, p.ln_gamma, p.ln_beta)
     h = add(matmul(h, p.w1), p.b1)
     h = swish(h)
     h = add(matmul(h, p.w2), p.b2)
-    h = dropout(h, cfg.dropout_p, training, rng)
+    h = dropout(h, cfg.dropout_p, rng)
     return add(x, scale(h, 0.5))
 
 
@@ -156,7 +154,6 @@ def _attention(xn: Tensor, qh: Tensor, kh: Tensor, cfg: ModelConfig) -> Tensor:
 
 
 def mhsa_forward(x: Tensor, p: MhsaParams, cfg: ModelConfig,
-                 training: bool = False,
                  rng: Optional[np.random.Generator] = None) -> Tensor:
     """Scaled dot-product attention over the normalized input.
 
@@ -165,11 +162,11 @@ def mhsa_forward(x: Tensor, p: MhsaParams, cfg: ModelConfig,
     dropout. Returns the branch value only: the caller adds the residual. No
     positional encoding, so the map is timestep-permutation-equivariant.
     """
-    xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
+    xn = layer_norm(x, p.ln_gamma, p.ln_beta)
     heads = [matmul(_attention(xn, qh, kh, cfg), matmul(xn, vh))
              for qh, kh, vh in zip(p.q, p.k, p.v)]
     out = matmul(concat_last(heads), p.o)
-    return dropout(out, cfg.dropout_p, training, rng)
+    return dropout(out, cfg.dropout_p, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +211,21 @@ def conv_module_init(stream: Optional[SeedStream], d_model: int, kernel: int,
 
 
 def conv_module_forward(x: Tensor, p: ConvModuleParams, cfg: ModelConfig,
-                        training: bool = False,
                         rng: Optional[np.random.Generator] = None) -> Tensor:
     """LN, pointwise conv to 2D channels, gated linear unit over the halves,
     depthwise conv, Swish, linear projection, dropout, plus the residual
     (included here)."""
     d = x.shape[-1]
-    h = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
+    h = layer_norm(x, p.ln_gamma, p.ln_beta)
     h = conv1d_pointwise(h, p.pw1_w, p.pw1_b)
     first = slice_last(h, 0, d)
     second = slice_last(h, d, 2 * d)
     gate = sigmoid(add(matmul(second, p.glu_w2), p.glu_b2))
     h = mul(add(matmul(first, p.glu_w1), p.glu_b1), gate)
-    h = conv1d_depthwise(h, p.dw_kernel, p.dw_bias, cfg.conv_pad)
+    h = conv1d_depthwise(h, p.dw_kernel, p.dw_bias)
     h = swish(h)
     h = add(matmul(h, p.proj_w), p.proj_b)
-    h = dropout(h, cfg.dropout_p, training, rng)
+    h = dropout(h, cfg.dropout_p, rng)
     return add(x, h)
 
 
@@ -261,12 +257,11 @@ def encoder_block_init(stream: Optional[SeedStream], cfg: ModelConfig,
 
 
 def encoder_block_forward(x: Tensor, p: EncoderBlockParams, cfg: ModelConfig,
-                          training: bool = False,
                           rng: Optional[np.random.Generator] = None) -> Tensor:
     """Half-step feed-forward, attention residual, convolution module, second
     half-step feed-forward, final layer norm."""
-    f1 = pwff_forward(x, p.pwff_a, cfg, training, rng)
-    f2 = add(f1, mhsa_forward(f1, p.mhsa, cfg, training, rng))
-    f3 = conv_module_forward(f2, p.conv, cfg, training, rng)
-    h = pwff_forward(f3, p.pwff_b, cfg, training, rng)
-    return layer_norm(h, p.final_ln_gamma, p.final_ln_beta, LN_EPS)
+    f1 = pwff_forward(x, p.pwff_a, cfg, rng)
+    f2 = add(f1, mhsa_forward(f1, p.mhsa, cfg, rng))
+    f3 = conv_module_forward(f2, p.conv, cfg, rng)
+    h = pwff_forward(f3, p.pwff_b, cfg, rng)
+    return layer_norm(h, p.final_ln_gamma, p.final_ln_beta)

@@ -145,6 +145,9 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
                         rng: np.random.Generator | None = None) -> Tensor:
     """Probabilities for a (B, t_in) batch of segments, returned as (B,).
 
+    A training forward applies dropout drawn from ``rng``, so it needs one
+    (``ContractError`` without); otherwise ``rng`` is ignored.
+
     The caller's batch size only sets how rows are gathered. When no tape
     is recording and ``training`` is False, the rows are independent, so the
     encoder runs over blocks of ``eval_block_rows`` rows whose activations
@@ -161,16 +164,18 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
     if x.ndim != 2 or x.shape[1] != m.config.t_in:
         raise ShapeError(
             f"expected input of shape (B, {m.config.t_in}), got {x.shape}")
+    if training and rng is None:
+        raise ContractError("a training forward needs the dropout rng")
     if x.dtype != m.dtype:
         x = Tensor(x.data.astype(m.dtype))
     if training or recording():
-        return _forward(m, x, training, rng)
+        return _forward(m, x, rng if training else None)
     rows = eval_block_rows(m.config)
     out = np.empty(x.shape[0], dtype=m.dtype)
     starts = range(0, len(out), rows)
 
     def run_block(i: int) -> None:
-        out[i:i + rows] = _forward(m, Tensor(x.data[i:i + rows]), False, None).data
+        out[i:i + rows] = _forward(m, Tensor(x.data[i:i + rows]), None).data
 
     workers = min(eval_workers(), len(starts))
     if workers <= 1:
@@ -187,13 +192,12 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
     return Tensor(out)
 
 
-def _forward(m: EenedModel, x: Tensor, training: bool,
-             rng: np.random.Generator | None) -> Tensor:
+def _forward(m: EenedModel, x: Tensor, rng: np.random.Generator | None) -> Tensor:
     b = x.shape[0]
     h = reshape(x, (b, m.config.t_in, 1))
     h = add(matmul(h, m.embed_w), m.embed_b)
     for block in m.blocks:
-        h = encoder_block_forward(h, block, m.config, training, rng)
+        h = encoder_block_forward(h, block, m.config, rng)
     pooled = mean_axis(h, 1)
     z = swish(add(matmul(pooled, m.head_w1), m.head_b1))
     z = add(matmul(z, m.head_w2), m.head_b2)

@@ -186,38 +186,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
-    # operator sugar; scalars are wrapped as constant tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
     def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(value, dtype=None) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
+        """``c - t`` for a python scalar c, as a ``sub`` node."""
+        return sub(Tensor(np.asarray(other, dtype=self.dtype)), self)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -487,16 +458,20 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make("softmax", (a,), y, bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and
-    shift with per-feature gamma and beta."""
+LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (``LN_EPS`` is
+    added to the variance), then scale and shift with per-feature gamma and
+    beta."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} do not match feature dim {d}")
     xd, gdat = x.data, gamma.data
     xhat = xd - _row_sum(xd) / d
-    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + eps)
+    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + LN_EPS)
     xhat *= inv
     out = xhat * gdat
     out += beta.data
@@ -531,26 +506,24 @@ def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _SLAB_ELEMS = 1 << 17
 
 
-def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
-    """Per-channel 1-D cross-correlation with zero padding.
+def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
+    """Per-channel 1-D cross-correlation with (K-1)/2 zeros of padding on
+    each side, so the output keeps length T.
 
     ``x`` is (T, C) or (B, T, C); ``k`` is (C, K) with K odd and one kernel row
-    per channel (groups == C); ``pad`` must equal (K-1)/2 so the output keeps
-    length T.
+    per channel (groups == C).
     """
     if k.ndim != 2:
         raise ShapeError(f"depthwise kernel must be rank 2 (C, K), got {k.shape}")
     c, kk = k.shape
     if kk % 2 == 0:
         raise ConfigError(f"depthwise kernel size must be odd, got {kk}")
-    if pad != (kk - 1) // 2:
-        raise ConfigError(
-            f"depthwise padding must be (kernel_size - 1) / 2 = {(kk - 1) // 2}, got {pad}")
     if x.shape[-1] != c:
         raise ShapeError(f"depthwise conv: input {x.shape} does not match kernel {k.shape}")
     if b.shape != (c,):
         raise ShapeError(f"depthwise conv: bias {b.shape} does not match kernel {k.shape}")
 
+    pad = (kk - 1) // 2
     xd, kd = x.data, k.data
     # tap j's weights as one contiguous row: a column kd[:, j] of the (C, K)
     # kernel is strided, which made every tap product slower
@@ -590,16 +563,14 @@ def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor, pad: int) -> Tensor:
     return _make("conv1d_depthwise", (x, k, b), out, bwd)
 
 
-def dropout(x: Tensor, p: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero with probability p and rescale survivors by
-    1/(1-p) in training mode; identity in eval mode."""
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout: given an rng, zero each element with probability p
+    and rescale survivors by 1/(1-p); without one (evaluation), the
+    identity."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ContractError("dropout in training mode needs an rng")
     keep = rng.random(x.shape) >= p
     # x * keep * c equals x * (keep / (1 - p)) bitwise: both round x * c once
     c = x.dtype.type(1) / x.dtype.type(1.0 - p)

@@ -21,6 +21,11 @@ from .tensor import (ContractError, ParamStore, ShapeError, Tape, Tensor,
 
 BCE_EPS = 1e-7
 
+# Central-difference step, and the most coordinates sampled per parameter
+# tensor (drawn from seed 0), of every gradient check.
+GRADCHECK_STEP = 1e-5
+GRADCHECK_COORDS = 12
+
 
 class NonFiniteLossError(ArithmeticError):
     """A training step produced a NaN or infinite loss."""
@@ -35,14 +40,14 @@ class NonFiniteLossError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def bce_loss(p: Tensor, y, eps: float = BCE_EPS) -> Tensor:
+def bce_loss(p: Tensor, y) -> Tensor:
     """Mean binary cross-entropy; probabilities are clamped to
-    [eps, 1 - eps] before the logs."""
+    [BCE_EPS, 1 - BCE_EPS] before the logs."""
     ydata = y.data if isinstance(y, Tensor) else np.asarray(y)
     ydata = ydata.astype(p.data.dtype)
     if p.shape != ydata.shape:
         raise ShapeError(f"probabilities {p.shape} vs labels {ydata.shape}")
-    ph = clip(p, eps, 1.0 - eps)
+    ph = clip(p, BCE_EPS, 1.0 - BCE_EPS)
     yt = Tensor(ydata)
     yc = Tensor(1.0 - ydata)
     ll = add(mul(yt, log(ph)), mul(yc, log(1.0 - ph)))
@@ -254,13 +259,13 @@ class GradcheckReport:
 
 def gradcheck(forward_fn: Callable[[], Tensor],
               params: list[tuple[str, Tensor]],
-              tolerance: float = 1e-4, h: float = 1e-5,
-              max_coords: int = 12, seed: int = 0) -> GradcheckReport:
+              tolerance: float = 1e-4) -> GradcheckReport:
     """Compare reverse-mode gradients of a scalar-valued closure against
-    central finite differences.
+    central finite differences of step GRADCHECK_STEP.
 
-    Coordinates are sampled (without replacement) for tensors larger than
-    max_coords. Relative error uses a 1e-8 floor so near-zero pairs compare
+    GRADCHECK_COORDS coordinates are sampled (without replacement, from seed
+    0) of each tensor larger than that, and every coordinate of a smaller
+    one. Relative error uses a 1e-8 floor so near-zero pairs compare
     absolutely. The closure must be deterministic and dropout-free.
     """
     for _, t in params:
@@ -269,27 +274,27 @@ def gradcheck(forward_fn: Callable[[], Tensor],
     with Tape():
         loss = forward_fn()
         backward(loss)
-    pick = SeedStream(seed).child("gradcheck").generator()
+    pick = SeedStream(0).child("gradcheck").generator()
     max_rel = 0.0
     worst_name, worst_index = "", -1
     n_checked = 0
     for name, t in params:
         grad = t.grad if t.grad is not None else np.zeros_like(t.data)
         size = t.size
-        if size <= max_coords:
+        if size <= GRADCHECK_COORDS:
             coords = range(size)
         else:
-            coords = sorted(pick.choice(size, size=max_coords, replace=False).tolist())
+            coords = sorted(pick.choice(size, size=GRADCHECK_COORDS, replace=False).tolist())
         flat = t.data.reshape(-1)
         gflat = grad.reshape(-1)
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRADCHECK_STEP
             f_plus = forward_fn().item()
-            flat[i] = orig - h
+            flat[i] = orig - GRADCHECK_STEP
             f_minus = forward_fn().item()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * GRADCHECK_STEP)
             analytic = float(gflat[i])
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             n_checked += 1
@@ -315,8 +320,7 @@ def _weighted_mean(out: Tensor, weights: np.ndarray) -> Tensor:
 
 
 def gradcheck_suite(modules: Optional[list[str]] = None,
-                    tolerance: float = 1e-4,
-                    max_coords: int = 12) -> dict[str, GradcheckReport]:
+                    tolerance: float = 1e-4) -> dict[str, GradcheckReport]:
     """Gradcheck each sub-module and the end-to-end toy model (float64,
     dropout off). ``modules`` filters by name: pwff, mhsa, conv, block,
     model."""
@@ -363,5 +367,5 @@ def gradcheck_suite(modules: Optional[list[str]] = None,
             raise ContractError(f"unknown gradcheck modules: {sorted(unknown)}")
         cases = {k: v for k, v in cases.items() if k in modules}
 
-    return {name: gradcheck(fn, plist, tolerance=tolerance, max_coords=max_coords)
+    return {name: gradcheck(fn, plist, tolerance=tolerance)
             for name, (fn, plist) in cases.items()}

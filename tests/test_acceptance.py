@@ -98,7 +98,7 @@ def test_criterion_2_forward_oracles(announce):
     xc = rng.normal(0.0, 1.0, size=(20, 6))
     k = Tensor(rng.normal(0.0, 1.0, size=(6, 5)))
     b = Tensor(rng.normal(0.0, 1.0, size=(6,)))
-    got = conv1d_depthwise(Tensor(xc), k, b, pad=2).data
+    got = conv1d_depthwise(Tensor(xc), k, b).data
     want = np_depthwise_triple_loop(xc, k.data, b.data, pad=2)
     depthwise_exact = np.array_equal(got, want)
 

@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import eened.cli
+import eened.train
 from eened.cli import build_parser, main
 from eened.config import ModelConfig, TrainConfig
 from eened.data import TEST, TRAIN, Dataset, make_toy_dataset, normalize
@@ -196,6 +197,23 @@ class TestTrainCommand:
             assert re.findall(r"^epoch=(\d+) ", stdout, flags=re.M) == ["2"]
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_each_epoch_evaluates_once_and_the_summary_adds_none(
+            self, capsys, tmp_path, monkeypatch):
+        # the summary reports the evaluation whose parameters train() kept
+        calls = []
+        real = eened.train.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eened.train, "evaluate", counting)
+        monkeypatch.setattr(eened.cli, "evaluate", counting)
+        code, _, _ = run_cli(capsys, "train", "--toy", "--out",
+                             str(tmp_path / "m.ckpt"), "--epochs", "3")
+        assert code == 0
+        assert len(calls) == 3
 
     def test_determinism_across_runs(self, capsys, tmp_path):
         blobs = []

@@ -1,7 +1,13 @@
-"""The README's library example imports names that exist."""
+"""The README's library example imports names that exist, and its command
+lines parse."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from eened.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +22,17 @@ def test_library_use_imports_resolve():
     assert imports
     for line in imports:
         exec(line, {})
+
+
+def test_command_line_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S)
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("eened ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

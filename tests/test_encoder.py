@@ -8,12 +8,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eened.config import ModelConfig
-from eened.encoder import (LN_EPS, _attention,
-                           conv_module_forward, conv_module_init,
+from eened.encoder import (_attention, conv_module_forward, conv_module_init,
                            encoder_block_forward, encoder_block_init,
                            mhsa_forward, mhsa_init, pwff_forward, pwff_init)
 from eened.rng import SeedStream
-from eened.tensor import Tensor, layer_norm
+from eened.tensor import LN_EPS, Tensor, layer_norm
 from eened.train import gradcheck_suite
 from oracle_utils import (np_conv_module, np_encoder_block, np_mhsa, np_pwff,
                           np_swish)
@@ -33,7 +32,7 @@ def rand_x(t, d, seed=0):
 
 def attention_matrices(x, p, cfg):
     """Each head's attention matrix A_h, as the forward scores it."""
-    xn = layer_norm(Tensor(x), p.ln_gamma, p.ln_beta, LN_EPS)
+    xn = layer_norm(Tensor(x), p.ln_gamma, p.ln_beta)
     return [_attention(xn, qh, kh, cfg).data for qh, kh in zip(p.q, p.k)]
 
 
@@ -221,7 +220,7 @@ class TestResidualPassthrough:
         x = rand_x(5, CFG.d_model, seed=16)
         got = encoder_block_forward(Tensor(x), block, CFG).data
         want = layer_norm(Tensor(x), block.final_ln_gamma,
-                          block.final_ln_beta, LN_EPS).data
+                          block.final_ln_beta).data
         assert_array_equal(got, want)
 
 
@@ -272,9 +271,9 @@ class TestDropoutPlumbing:
     def test_training_mode_changes_output_and_eval_does_not(self, pwff):
         cfg = small_cfg(dropout_p=0.5)
         x = rand_x(6, cfg.d_model, seed=22)
-        eval_out = pwff_forward(Tensor(x), pwff, cfg, training=False).data
-        eval_out2 = pwff_forward(Tensor(x), pwff, cfg, training=False).data
+        eval_out = pwff_forward(Tensor(x), pwff, cfg).data
+        eval_out2 = pwff_forward(Tensor(x), pwff, cfg).data
         assert_array_equal(eval_out, eval_out2)
-        train_out = pwff_forward(Tensor(x), pwff, cfg, training=True,
+        train_out = pwff_forward(Tensor(x), pwff, cfg,
                                  rng=np.random.default_rng(1)).data
         assert np.max(np.abs(train_out - eval_out)) > 1e-6

@@ -22,7 +22,7 @@ from eened.model import (MAGIC, CheckpointError, CheckpointMagicError,
                          eval_block_rows, eval_workers, load_checkpoint,
                          model_forward_batch, model_init, named_parameters,
                          save_checkpoint)
-from eened.tensor import ConfigError, ShapeError, Tape, Tensor
+from eened.tensor import ConfigError, ContractError, ShapeError, Tape, Tensor
 from eened.train import toy_model_config
 
 
@@ -138,6 +138,14 @@ class TestForward:
             model_forward_batch(m, Tensor(np.zeros((1, m.config.t_in - 1))))
         with pytest.raises(ShapeError):
             model_forward_batch(m, Tensor(np.zeros(m.config.t_in)))
+
+    def test_training_requires_rng(self):
+        # checked on entry: a model without dropout refuses it too
+        m = toy_model()
+        x = Tensor(np.zeros((2, m.config.t_in), dtype=np.float32))
+        with Tape() as tape, pytest.raises(ContractError):
+            model_forward_batch(m, x, training=True)
+        assert tape.nodes == []
 
     def test_float64_input_is_cast_to_model_dtype(self):
         m = toy_model()
