@@ -32,8 +32,8 @@ TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
 CONFIG_KEYS = MODEL_FIELDS + TRAIN_FIELDS + ["split_seed"]
 
 # --toy shrinks the network so an end-to-end run stays in CI budget.
-TOY_MODEL = dict(d_model=32, n_heads=4, head_dim=8, n_blocks=1, d_pwff=64,
-                 t_in=64, classifier_hidden=32)
+TOY_MODEL = dict(d_model=32, n_heads=4, n_blocks=1, d_pwff=64, t_in=64,
+                 classifier_hidden=32)
 TOY_TRAIN = dict(epochs=10, batch_size=32, lr=1e-3)
 TOY_ROWS = 384
 
@@ -62,9 +62,6 @@ def _build_configs(args, toy: bool, checkpoint: Optional[ModelConfig] = None
     merged = _merge_options(args, defaults)
     model_kwargs = {k: merged[k] for k in MODEL_FIELDS if k in merged}
     train_kwargs = {k: merged[k] for k in TRAIN_FIELDS if k in merged}
-    if "seed" in merged:
-        model_kwargs.setdefault("seed", merged["seed"])
-        train_kwargs.setdefault("seed", merged["seed"])
     if checkpoint is None:
         mcfg = ModelConfig(**model_kwargs)
     else:

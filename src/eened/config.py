@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import ast
 import sys
-from dataclasses import dataclass, fields
-from typing import Iterable
+from dataclasses import InitVar, dataclass, fields
+from typing import Iterable, Optional
 
 from .tensor import ConfigError
 
@@ -61,49 +61,49 @@ def check_range(obj, rule: str, ok, *names: str) -> None:
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters.
-
-    Attention scores are scaled by 1/sqrt(d_model / n_heads), so n_heads must
-    divide d_model; head_dim must agree with that quotient so the concatenated
-    head outputs are d_model wide again.
-    """
+    """Architecture hyperparameters. Two sizes are derived, not set: each
+    head's ``head_dim = d_model // n_heads`` (n_heads must divide d_model) and
+    the depthwise conv's ``conv_pad = (conv_kernel - 1) // 2``. The constructor
+    takes either name, as CK1 headers carry them, only at that value."""
 
     d_model: int = 512
     n_blocks: int = 3
     n_heads: int = 8
-    head_dim: int = 64
     conv_kernel: int = 15
-    conv_pad: int = 7
     d_pwff: int = 2048
     dropout_p: float = 0.1
     t_in: int = 178
     classifier_hidden: int = 128
     seed: int = 0
+    head_dim: InitVar[Optional[int]] = None
+    conv_pad: InitVar[Optional[int]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, head_dim, conv_pad):
         self.validate()
+        for name, v in (("head_dim", head_dim), ("conv_pad", conv_pad)):
+            if v is not None and (type(v) is not int or v != getattr(self, name)):
+                raise ConfigError(f"{name} is derived as {getattr(self, name)}, got {v!r}")
 
     def validate(self) -> None:
         _check_types(self)
-        check_range(self, ">= 1", lambda v: v >= 1, "d_model", "n_blocks",
-                    "n_heads", "head_dim", "conv_kernel", "d_pwff", "t_in",
-                    "classifier_hidden")
+        check_range(self, ">= 1", lambda v: v >= 1, "d_model", "n_blocks", "n_heads",
+                    "conv_kernel", "d_pwff", "t_in", "classifier_hidden")
         check_range(self, ">= 0", lambda v: v >= 0, "seed")
         check_range(self, "in [0, 1)", lambda v: 0.0 <= v < 1.0, "dropout_p")
-        if self.n_heads * self.head_dim != self.d_model:
+        if self.d_model % self.n_heads:
             raise ConfigError(
-                f"n_heads * head_dim must equal d_model: "
-                f"{self.n_heads} * {self.head_dim} != {self.d_model}")
+                f"n_heads must divide d_model: {self.d_model} % {self.n_heads} != 0")
         if self.d_pwff < self.d_model:
             raise ConfigError(
                 f"d_pwff ({self.d_pwff}) must be >= d_model ({self.d_model}); "
                 f"the feed-forward is an expansion layer")
         if self.conv_kernel % 2 == 0:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
-        if self.conv_pad != (self.conv_kernel - 1) // 2:
-            raise ConfigError(
-                f"conv_pad must be (conv_kernel - 1) / 2 = "
-                f"{(self.conv_kernel - 1) // 2}, got {self.conv_pad}")
+
+
+# set after the body, where the InitVar defaults leave both names reading None
+ModelConfig.head_dim = property(lambda self: self.d_model // self.n_heads)
+ModelConfig.conv_pad = property(lambda self: (self.conv_kernel - 1) // 2)
 
 
 @dataclass
@@ -141,5 +141,5 @@ def model_config_to_text(cfg: ModelConfig) -> str:
 
 def model_config_from_text(text: str) -> ModelConfig:
     """Inverse of :func:`model_config_to_text`."""
-    known = {f.name for f in fields(ModelConfig)}
+    known = {f.name for f in fields(ModelConfig)} | {"head_dim", "conv_pad"}
     return ModelConfig(**read_key_values(text.splitlines(), "model config", known))

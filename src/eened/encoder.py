@@ -130,10 +130,10 @@ class MhsaParams:
 
 
 def mhsa_init(stream: Optional[SeedStream], d_model: int, n_heads: int,
-              head_dim: int, dtype) -> MhsaParams:
+              dtype) -> MhsaParams:
     def heads(tag):
         return [uniform_init(child(stream, f"{tag}{h}"),
-                             (d_model, head_dim), d_model, dtype)
+                             (d_model, d_model // n_heads), d_model, dtype)
                 for h in range(n_heads)]
 
     return MhsaParams(
@@ -248,7 +248,7 @@ def encoder_block_init(stream: Optional[SeedStream], cfg: ModelConfig,
                        dtype) -> EncoderBlockParams:
     return EncoderBlockParams(
         pwff_a=pwff_init(child(stream, "pwff_a"), cfg.d_model, cfg.d_pwff, dtype),
-        mhsa=mhsa_init(child(stream, "mhsa"), cfg.d_model, cfg.n_heads, cfg.head_dim, dtype),
+        mhsa=mhsa_init(child(stream, "mhsa"), cfg.d_model, cfg.n_heads, dtype),
         conv=conv_module_init(child(stream, "conv"), cfg.d_model, cfg.conv_kernel, dtype),
         pwff_b=pwff_init(child(stream, "pwff_b"), cfg.d_model, cfg.d_pwff, dtype),
         final_ln_gamma=_ones((cfg.d_model,), dtype),

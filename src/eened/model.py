@@ -30,8 +30,9 @@ from .config import ModelConfig, model_config_from_text, model_config_to_text
 from .encoder import (EncoderBlockParams, child, encoder_block_forward,
                       encoder_block_init, named, uniform_init)
 from .rng import SeedStream
-from .tensor import (ContractError, ParamStore, ShapeError, Tensor, add,
-                     matmul, mean_axis, recording, reshape, sigmoid, swish)
+from .tensor import (ConfigError, ContractError, ParamStore, ShapeError,
+                     Tensor, add, matmul, mean_axis, recording, reshape,
+                     sigmoid, swish)
 
 MAGIC = b"EENEDCK1"
 
@@ -297,7 +298,10 @@ def load_checkpoint(path) -> EenedModel:
         r = _Reader(fh)
         if r.take(len(MAGIC)) != MAGIC:
             raise CheckpointMagicError(f"{path}: not a model checkpoint (bad magic)")
-        cfg = model_config_from_text(r.take(r.u32()).decode("utf-8", "replace"))
+        try:
+            cfg = model_config_from_text(r.take(r.u32()).decode("utf-8", "replace"))
+        except ConfigError as e:
+            raise CheckpointError(f"{path}: header: {e}") from None
         m = model_init(cfg, _draw=False)
         for name, tensor in named_parameters(m):
             stored = r.take(r.u32())

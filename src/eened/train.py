@@ -16,8 +16,9 @@ from .encoder import (conv_module_forward, conv_module_init,
                       mhsa_init, named, pwff_forward, pwff_init)
 from .model import EenedModel, model_forward_batch, model_init
 from .rng import SeedStream
-from .tensor import (ContractError, ParamStore, ShapeError, Tape, Tensor,
-                     add, backward, clip, log, mean_all, mul, neg)
+from .tensor import (ConfigError, ContractError, ParamStore, ShapeError,
+                     Tape, Tensor, add, backward, clip, log, mean_all, mul,
+                     neg)
 
 BCE_EPS = 1e-7
 
@@ -308,9 +309,8 @@ def gradcheck(forward_fn: Callable[[], Tensor],
 
 def toy_model_config(**overrides) -> ModelConfig:
     """Small config used by the gradcheck suite and smoke tests."""
-    base = dict(d_model=8, n_blocks=2, n_heads=2, head_dim=4, conv_kernel=15,
-                conv_pad=7, d_pwff=16, dropout_p=0.0, t_in=12,
-                classifier_hidden=8, seed=5)
+    base = dict(d_model=8, n_blocks=2, n_heads=2, conv_kernel=15, d_pwff=16,
+                dropout_p=0.0, t_in=12, classifier_hidden=8, seed=5)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -339,7 +339,7 @@ def gradcheck_suite(modules: Optional[list[str]] = None,
         lambda: _weighted_mean(pwff_forward(x, pwff, cfg), w_out),
         named(pwff, "pwff"))
 
-    mhsa = mhsa_init(stream.child("mhsa"), d, cfg.n_heads, cfg.head_dim, dt)
+    mhsa = mhsa_init(stream.child("mhsa"), d, cfg.n_heads, dt)
     cases["mhsa"] = (
         lambda: _weighted_mean(mhsa_forward(x, mhsa, cfg), w_out),
         named(mhsa, "mhsa"))
@@ -364,7 +364,7 @@ def gradcheck_suite(modules: Optional[list[str]] = None,
     if modules is not None:
         unknown = set(modules) - set(cases)
         if unknown:
-            raise ContractError(f"unknown gradcheck modules: {sorted(unknown)}")
+            raise ConfigError(f"unknown gradcheck modules: {sorted(unknown)}")
         cases = {k: v for k, v in cases.items() if k in modules}
 
     return {name: gradcheck(fn, plist, tolerance=tolerance)

@@ -27,8 +27,8 @@ from oracle_utils import np_conv_module, np_depthwise_triple_loop, np_mhsa
 
 # Reduced architecture for the end-to-end training criterion: same block
 # structure as the default model, sized to train on a CPU in minutes.
-DESK_MODEL = dict(d_model=64, n_heads=4, head_dim=16, n_blocks=2, d_pwff=256,
-                  conv_kernel=15, conv_pad=7, dropout_p=0.1, t_in=178,
+DESK_MODEL = dict(d_model=64, n_heads=4, n_blocks=2, d_pwff=256,
+                  conv_kernel=15, dropout_p=0.1, t_in=178,
                   classifier_hidden=128, seed=0)
 
 
@@ -84,7 +84,7 @@ def test_criterion_2_forward_oracles(announce):
     for trial in range(3):
         x = rng.normal(0.0, 1.0, size=(7, cfg.d_model))
         mp = mhsa_init(stream.child(f"mhsa{trial}"), cfg.d_model,
-                       cfg.n_heads, cfg.head_dim, np.float64)
+                       cfg.n_heads, np.float64)
         got = mhsa_forward(Tensor(x), mp, cfg).data
         want = np_mhsa(x, mp, cfg.d_model, cfg.n_heads)
         worst_mhsa = max(worst_mhsa, float(np.max(np.abs(got - want))))
@@ -92,7 +92,7 @@ def test_criterion_2_forward_oracles(announce):
         cp = conv_module_init(stream.child(f"conv{trial}"), cfg.d_model,
                               cfg.conv_kernel, np.float64)
         got = conv_module_forward(Tensor(x), cp, cfg).data
-        want = np_conv_module(x, cp, cfg.conv_pad)
+        want = np_conv_module(x, cp, (cfg.conv_kernel - 1) // 2)
         worst_conv = max(worst_conv, float(np.max(np.abs(got - want))))
 
     xc = rng.normal(0.0, 1.0, size=(20, 6))
@@ -134,7 +134,7 @@ def test_criterion_3_structural_properties(announce):
     pwff.w2.data[...] = 0.0
     pwff.b2.data[...] = 0.0
     mhsa = mhsa_init(stream.child("mhsa"), cfg.d_model, cfg.n_heads,
-                     cfg.head_dim, np.float64)
+                     np.float64)
     mhsa.o.data[...] = 0.0
     conv = conv_module_init(stream.child("conv"), cfg.d_model,
                             cfg.conv_kernel, np.float64)
@@ -146,7 +146,7 @@ def test_criterion_3_structural_properties(announce):
         and np.array_equal(conv_module_forward(x, conv, cfg).data, x.data))
 
     mhsa_live = mhsa_init(stream.child("mhsa-live"), cfg.d_model, cfg.n_heads,
-                          cfg.head_dim, np.float64)
+                          np.float64)
     conv_live = conv_module_init(stream.child("conv-live"), cfg.d_model,
                                  cfg.conv_kernel, np.float64)
     perm = stream.child("perm").generator().permutation(9)

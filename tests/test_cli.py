@@ -3,6 +3,7 @@ flows on the built-in synthetic dataset."""
 
 import os
 import re
+import struct
 import subprocess
 import sys
 import time
@@ -82,9 +83,22 @@ class TestTrainCommand:
             capsys, "train", "--toy", "--out", str(tmp_path / "m.ckpt"),
             "--n-heads", "3", "--d-model", "512")
         assert code == 1
-        assert "n_heads" in stderr and "d_model" in stderr.replace(" ", "_") or \
-            "head_dim" in stderr
+        assert "n_heads" in stderr and "d_model" in stderr.replace(" ", "_")
         assert stdout == ""
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--conv-kernel", "conv_kernel", 9),
+        ("--d-model", "d_model", 64),
+        ("--n-heads", "n_heads", 8),
+    ])
+    def test_kernel_width_and_head_count_can_each_be_set_alone(
+            self, capsys, tmp_path, flag, field, value):
+        # each exited 1 while head_dim and conv_pad had to be set in step
+        out = tmp_path / "m.ckpt"
+        code, _, stderr = run_cli(capsys, "train", "--toy", "--out", str(out),
+                                  "--epochs", "1", flag, str(value))
+        assert code == 0, stderr
+        assert getattr(load_checkpoint(out).config, field) == value
 
     def test_missing_data_argument(self, capsys, tmp_path):
         code, _, stderr = run_cli(
@@ -239,6 +253,15 @@ class TestConfigFlags:
             assert value == 3 and type(value) is type(f.default), f.name
         assert type(parser.parse_args(base + ["--seed", "3"]).seed) is int
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_derived_widths_have_no_flag(self, capsys, command):
+        parser = build_parser()
+        base = [command] + (["--checkpoint", "x.ckpt"] if command == "eval" else [])
+        for flag in ("--head-dim", "--conv-pad"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(base + [flag, "3"])
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_reproduces_training_summary(self, capsys, tmp_path, trained):
@@ -276,8 +299,8 @@ class TestEvalCommand:
 
     def test_model_options_matching_the_checkpoint_are_accepted(
             self, capsys, tmp_path, trained):
-        # the toy checkpoint has d_model=32; the default n_heads and head_dim
-        # would not fit it, but eval takes them from the checkpoint
+        # the toy checkpoint has d_model=32 and n_blocks=1; eval takes the
+        # fields not set here from the checkpoint, not from the defaults
         base = run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
                        "--seed", "7")
         assert base[0] == 0
@@ -312,6 +335,25 @@ class TestEvalCommand:
         assert code == 2
         assert "magic" in stderr
 
+    @pytest.mark.parametrize("old, new", [
+        ("d_model=32\n", "d_model=32\nhead_dim=9\n"),
+        ("d_model=32\n", "d_model=3x\n"),
+    ])
+    def test_corrupt_header_is_data_error_naming_the_file(
+            self, capsys, tmp_path, trained, old, new):
+        # both exited 1 as a config error that did not name the file
+        blob = trained.read_bytes()
+        n = struct.unpack("<I", blob[8:12])[0]
+        header = blob[12:12 + n].decode()
+        assert old in header
+        header = header.replace(old, new).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                        + blob[12 + n:])
+        code, stdout, stderr = run_cli(capsys, "eval", "--checkpoint", str(bad), "--toy")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"data error: {bad}: header: ")
+
 
 class TestGradcheckCommand:
     def test_single_module(self, capsys):
@@ -337,9 +379,10 @@ class TestGradcheckCommand:
         assert "tolerance must be finite and > 0" in stderr
 
     def test_unknown_module_is_config_error_exit(self, capsys):
-        code, _, stderr = run_cli(capsys, "gradcheck", "--module", "typo")
-        assert code == 3
-        assert "typo" in stderr
+        for modules, unknown in [("typo", "'typo'"), ("pwff,,mhsa", "''")]:
+            code, _, stderr = run_cli(capsys, "gradcheck", "--module", modules)
+            assert code == 1
+            assert stderr.startswith("config error:") and unknown in stderr
 
 
 class TestPredictCommand:

@@ -19,9 +19,8 @@ from oracle_utils import (np_conv_module, np_encoder_block, np_mhsa, np_pwff,
 
 
 def small_cfg(**overrides):
-    base = dict(d_model=8, n_blocks=1, n_heads=2, head_dim=4, conv_kernel=15,
-                conv_pad=7, d_pwff=16, dropout_p=0.0, t_in=16,
-                classifier_hidden=8, seed=0)
+    base = dict(d_model=8, n_blocks=1, n_heads=2, conv_kernel=15, d_pwff=16,
+                dropout_p=0.0, t_in=16, classifier_hidden=8, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -47,7 +46,7 @@ def pwff():
 @pytest.fixture
 def mhsa():
     return mhsa_init(SeedStream(12).child("mhsa"), CFG.d_model, CFG.n_heads,
-                     CFG.head_dim, np.float64)
+                     np.float64)
 
 
 @pytest.fixture
@@ -79,8 +78,8 @@ class TestReferenceOracles:
     def test_mhsa_small_handset_case(self):
         # 3 timesteps, 4 channels, 2 heads: same dense evaluation at a size
         # where every intermediate is inspectable by hand
-        cfg = small_cfg(d_model=4, n_heads=2, head_dim=2, d_pwff=4)
-        p = mhsa_init(SeedStream(77).child("m"), 4, 2, 2, np.float64)
+        cfg = small_cfg(d_model=4, n_heads=2, d_pwff=4)
+        p = mhsa_init(SeedStream(77).child("m"), 4, 2, np.float64)
         x = rand_x(3, 4, seed=3)
         got = mhsa_forward(Tensor(x), p, cfg).data
         assert_allclose(got, np_mhsa(x, p, 4, 2), atol=1e-10, rtol=0)
@@ -88,13 +87,14 @@ class TestReferenceOracles:
     def test_conv_module_matches_dense_oracle(self, conv):
         x = rand_x(9, CFG.d_model, seed=4)
         got = conv_module_forward(Tensor(x), conv, CFG).data
-        assert_allclose(got, np_conv_module(x, conv, CFG.conv_pad),
+        assert_allclose(got, np_conv_module(x, conv, (CFG.conv_kernel - 1) // 2),
                         atol=1e-10, rtol=0)
 
     def test_block_matches_dense_oracle(self, block):
         x = rand_x(5, CFG.d_model, seed=5)
         got = encoder_block_forward(Tensor(x), block, CFG).data
-        want = np_encoder_block(x, block, CFG.d_model, CFG.n_heads, CFG.conv_pad)
+        want = np_encoder_block(x, block, CFG.d_model, CFG.n_heads,
+                                (CFG.conv_kernel - 1) // 2)
         assert_allclose(got, want, atol=1e-10, rtol=0)
 
     def test_batched_forward_matches_per_sample(self, block):
@@ -109,7 +109,7 @@ class TestManualForwardOracles:
     """Tiny hand-set configurations evaluated scalar by scalar in the test."""
 
     def test_pwff_single_timestep_by_hand(self):
-        cfg = small_cfg(d_model=2, n_heads=1, head_dim=2, d_pwff=2)
+        cfg = small_cfg(d_model=2, n_heads=1, d_pwff=2)
         p = pwff_init(SeedStream(0).child("p"), 2, 2, np.float64)
         p.w1.data[...] = [[0.5, -1.0], [0.25, 2.0]]
         p.b1.data[...] = [0.1, -0.2]
@@ -129,8 +129,8 @@ class TestManualForwardOracles:
     def test_mhsa_single_timestep(self):
         # T=1: each attention matrix is [[1]], so the output row is the
         # concatenated value projections through the output matrix
-        cfg = small_cfg(d_model=4, n_heads=2, head_dim=2, d_pwff=4)
-        p = mhsa_init(SeedStream(5).child("m"), 4, 2, 2, np.float64)
+        cfg = small_cfg(d_model=4, n_heads=2, d_pwff=4)
+        p = mhsa_init(SeedStream(5).child("m"), 4, 2, np.float64)
         x = rand_x(1, 4, seed=8)
         for a in attention_matrices(x, p, cfg):
             assert_array_equal(a, [[1.0]])
@@ -150,8 +150,7 @@ class TestManualForwardOracles:
     def test_conv_module_delta_kernel_by_hand(self):
         # a centered delta kernel makes the depthwise stage an identity plus
         # bias, leaving only affine maps, the gate, and the activation
-        cfg = small_cfg(d_model=2, n_heads=1, head_dim=2, d_pwff=2,
-                        conv_kernel=3, conv_pad=1)
+        cfg = small_cfg(d_model=2, n_heads=1, d_pwff=2, conv_kernel=3)
         p = conv_module_init(SeedStream(4).child("c"), 2, 3, np.float64)
         rng = np.random.default_rng(10)
         for t in (p.pw1_w, p.glu_w1, p.glu_w2, p.proj_w):
@@ -185,7 +184,7 @@ class TestManualForwardOracles:
         from oracle_utils import np_depthwise_triple_loop
 
         dw = np_depthwise_triple_loop(glu, conv.dw_kernel.data,
-                                      conv.dw_bias.data, CFG.conv_pad)
+                                      conv.dw_bias.data, (CFG.conv_kernel - 1) // 2)
         want = x + (np_swish(dw) @ conv.proj_w.data + conv.proj_b.data)
         got = conv_module_forward(Tensor(x), conv, CFG).data
         assert_allclose(got, want, atol=1e-10, rtol=0)
@@ -228,7 +227,7 @@ class TestStructuralProperties:
     @pytest.mark.parametrize("t", [1, 5, 17])
     @pytest.mark.parametrize("d", [8, 16])
     def test_shape_preservation(self, t, d):
-        cfg = small_cfg(d_model=d, n_heads=2, head_dim=d // 2, d_pwff=2 * d)
+        cfg = small_cfg(d_model=d, n_heads=2, d_pwff=2 * d)
         p = encoder_block_init(SeedStream(20).child(f"b{t}x{d}"), cfg, np.float64)
         x = rand_x(t, d, seed=t * 100 + d)
         assert encoder_block_forward(Tensor(x), p, cfg).shape == (t, d)

@@ -4,10 +4,12 @@ import concurrent.futures
 import gc
 import itertools
 import os
+import re
 import struct
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -62,9 +64,26 @@ class TestModelInit:
         with pytest.raises(ConfigError, match="conv_pad"):
             ModelConfig(conv_kernel=15, conv_pad=3)
 
+    def test_head_dim_and_conv_pad_are_derived(self):
+        # kernel, width and head count can each be set alone; the two old
+        # names, which CK1 headers carry, are taken only at the derived value
+        assert len(fields(ModelConfig)) == 9
+        assert ModelConfig(conv_kernel=9).conv_pad == 4
+        assert ModelConfig(d_model=64).head_dim == 8
+        assert ModelConfig(n_heads=16).head_dim == 32
+        assert ModelConfig(head_dim=64, conv_pad=7) == ModelConfig()
+        assert ModelConfig(conv_kernel=9, conv_pad=4) == ModelConfig(conv_kernel=9)
+        for kwargs, message in [
+                (dict(head_dim=9), "head_dim is derived as 64, got 9"),
+                (dict(d_model=64, head_dim=64), "head_dim is derived as 8, got 64"),
+                (dict(conv_kernel=9, conv_pad=7), "conv_pad is derived as 4, got 7"),
+                (dict(conv_pad=7.0), "conv_pad is derived as 7, got 7.0")]:
+            with pytest.raises(ConfigError, match=message):
+                ModelConfig(**kwargs)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError, match="conv_kernel"):
-            ModelConfig(conv_kernel=14, conv_pad=7)
+            ModelConfig(conv_kernel=14)
 
     def test_pwff_expansion_invariant(self):
         with pytest.raises(ConfigError, match="d_pwff"):
@@ -168,8 +187,7 @@ def pin_workers(monkeypatch, n):
 
 class TestBlockedEval:
     def test_block_rows_follow_the_config(self):
-        desk = ModelConfig(d_model=64, n_heads=4, head_dim=16, n_blocks=2,
-                           d_pwff=256)
+        desk = ModelConfig(d_model=64, n_heads=4, n_blocks=2, d_pwff=256)
         assert eval_block_rows(desk) == 5  # 2**18 // (178 * 256)
         assert eval_block_rows(ModelConfig()) == 2  # ceil(256 / 178) steps
         assert eval_block_rows(blocked_model().config) == 16
@@ -381,7 +399,7 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         blob = path.read_bytes()
         old_cfg = model_config_to_text(m.config).encode()
-        wider = toy_model_config(d_model=16, n_heads=2, head_dim=8)
+        wider = toy_model_config(d_model=16, n_heads=2)
         new_cfg = model_config_to_text(wider).encode()
         assert blob[8:12] == struct.pack("<I", len(old_cfg))
         doctored = (MAGIC + struct.pack("<I", len(new_cfg)) + new_cfg
@@ -400,18 +418,37 @@ class TestCheckpoint:
         doctored = (MAGIC + struct.pack("<I", len(bad_cfg)) + bad_cfg
                     + blob[12 + len(old_cfg.encode()):])
         path.write_bytes(doctored)
-        with pytest.raises(ConfigError):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: header: "):
             load_checkpoint(path)
 
-    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path):
+    def test_config_that_is_not_utf8_is_a_checkpoint_error(self, tmp_path):
         m = toy_model()
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)
         blob = bytearray(path.read_bytes())
         blob[12] = 0xFF  # first byte of the config text
         path.write_bytes(bytes(blob))
-        with pytest.raises(ConfigError):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: header: "):
             load_checkpoint(path)
+
+    def test_header_with_the_derived_lines_loads_alike(self, tmp_path):
+        # checkpoints written while head_dim and conv_pad were config fields
+        # carry them as header lines; they load to the same config and bits
+        m = toy_model(seed=25)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        blob = path.read_bytes()
+        new_cfg = model_config_to_text(m.config)
+        assert "head_dim" not in new_cfg and "conv_pad" not in new_cfg
+        old_cfg = "".join(sorted(new_cfg.splitlines(keepends=True)
+                                 + ["conv_pad=7\n", "head_dim=4\n"])).encode()
+        path.write_bytes(MAGIC + struct.pack("<I", len(old_cfg)) + old_cfg
+                         + blob[12 + len(new_cfg.encode()):])
+        loaded = load_checkpoint(path)
+        assert loaded.config == m.config
+        for (na, ta), (nb, tb) in zip(named_parameters(m), named_parameters(loaded)):
+            assert na == nb
+            assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_non_finite_values_rejected(self, tmp_path):
         m = toy_model()
@@ -467,8 +504,7 @@ class TestCheckpoint:
         # no copy of the file and no random draw: the parameters are the
         # only large allocation (a load that drew a random model and read
         # the whole file into memory peaked at 2.17x on this model)
-        cfg = toy_model_config(d_model=128, n_heads=2, head_dim=64,
-                               d_pwff=512, n_blocks=2)
+        cfg = toy_model_config(d_model=128, n_heads=2, d_pwff=512, n_blocks=2)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model_init(cfg), path)
         gc.collect()

@@ -484,8 +484,8 @@ class TestFloat32Kernels:
 # step buffers: release during the sweep, summed fan-out gradients
 # ---------------------------------------------------------------------------
 
-DESK_MODEL = dict(d_model=64, n_heads=4, head_dim=16, n_blocks=2, d_pwff=256,
-                  conv_kernel=15, conv_pad=7, dropout_p=0.1, t_in=178,
+DESK_MODEL = dict(d_model=64, n_heads=4, n_blocks=2, d_pwff=256,
+                  conv_kernel=15, dropout_p=0.1, t_in=178,
                   classifier_hidden=128)
 
 

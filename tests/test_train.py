@@ -375,7 +375,7 @@ class TestGradcheckHarness:
         assert reports["pwff"].passed
 
     def test_unknown_module_rejected(self):
-        with pytest.raises(ContractError, match="unknown"):
+        with pytest.raises(ConfigError, match="unknown"):
             gradcheck_suite(["nonesuch"])
 
     def test_impossible_tolerance_fails(self):
