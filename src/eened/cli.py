@@ -5,9 +5,12 @@ malformed file, non-finite cell, wrong feature count), 3 other runtime error,
 4 gradient-check failure, 5 non-finite training loss (no checkpoint is
 written). Results go to stdout, diagnostics to stderr.
 
-Each config field but seed is a flag; options may also come from a
-``key=value`` file (--config) whose keys are config fields or split_seed.
-Explicit flags win over the file, the file wins over defaults.
+On train, each config field but seed is a flag. Options may also come from
+a ``key=value`` file (--config) whose keys are config fields or split_seed;
+one file serves both train and eval. Eval takes its model config from the
+checkpoint, and a model key in the file must match it. Explicit flags win
+over the file, the file wins over defaults. A threshold must lie in [0, 1];
+--toy and --data, like --csv and --features, exclude each other.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ CONFIG_KEYS = MODEL_FIELDS + TRAIN_FIELDS + ["split_seed"]
 # --toy shrinks the network so an end-to-end run stays in CI budget.
 TOY_MODEL = dict(d_model=32, n_heads=4, n_blocks=1, d_pwff=64, t_in=64,
                  classifier_hidden=32)
-TOY_TRAIN = dict(epochs=10, batch_size=32, lr=1e-3)
+TOY_TRAIN = dict(epochs=10, lr=1e-3)
 TOY_ROWS = 384
 
 
@@ -78,11 +81,11 @@ def _build_configs(args, toy: bool, checkpoint: Optional[ModelConfig] = None
 
 
 def _load_split_dataset(args, mcfg: ModelConfig, split_seed: int) -> Dataset:
+    if args.toy == bool(args.data):
+        raise ConfigError("exactly one of --data and --toy is required")
     if args.toy:
         ds = make_toy_dataset(TOY_ROWS, mcfg.t_in, split_seed)
     else:
-        if not args.data:
-            raise ConfigError("either --data or --toy is required")
         ds = load_dataset(args.data, mcfg.t_in)
         ds = split(ds, split_seed)
     return normalize(ds)
@@ -94,7 +97,7 @@ def _load_split_dataset(args, mcfg: ModelConfig, split_seed: int) -> Dataset:
 
 
 def cmd_train(args) -> int:
-    check_range(args, "finite", math.isfinite, "threshold")
+    check_range(args, "finite and in [0, 1]", lambda v: 0 <= v <= 1, "threshold")
     mcfg, tcfg, split_seed = _build_configs(args, args.toy)
     dataset = _load_split_dataset(args, mcfg, split_seed)
     model = model_init(mcfg)
@@ -124,7 +127,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    check_range(args, "finite", math.isfinite, "threshold")
+    check_range(args, "finite and in [0, 1]", lambda v: 0 <= v <= 1, "threshold")
     model = load_checkpoint(args.checkpoint)
     mcfg, _, split_seed = _build_configs(args, False, model.config)
     dataset = _load_split_dataset(args, mcfg, split_seed)
@@ -147,8 +150,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    check_range(args, "finite", math.isfinite, "threshold", "norm_mean")
+    check_range(args, "finite and in [0, 1]", lambda v: 0 <= v <= 1, "threshold")
+    check_range(args, "finite", math.isfinite, "norm_mean")
     check_range(args, "finite and > 0", lambda v: math.isfinite(v) and v > 0, "norm_std")
+    if bool(args.features) == bool(args.csv):
+        raise ConfigError("predict needs exactly one of --csv and --features")
     model = load_checkpoint(args.checkpoint)
     t_in = model.config.t_in
     if args.features:
@@ -160,12 +166,10 @@ def cmd_predict(args) -> int:
         bad = [cell for cell, v in zip(cells, rows[0]) if not math.isfinite(v)]
         if bad:
             raise DataError(f"inline feature list: non-finite value {bad[0]!r}")
-    elif args.csv:
+    else:
         rows = read_csv(args.csv)
         if rows.shape[1] == t_in + 1:
             rows = rows[:, :-1]  # a trailing label column is dropped
-    else:
-        raise ConfigError("predict needs --csv or --features")
     if rows.shape[1] != t_in:
         raise DataError(f"expected {t_in} features per segment, got {rows.shape[1]}")
     rows = zscore(rows, args.norm_mean, args.norm_std)
@@ -181,12 +185,12 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(sub) -> None:
+def _add_config_flags(sub, seed_help: str, config_fields=()) -> None:
     sub.add_argument("--config", help="key=value options file")
-    sub.add_argument("--seed", type=int, help="seed for init, split, and shuffling")
+    sub.add_argument("--seed", type=int, help=seed_help)
     sub.add_argument("--split-seed", dest="split_seed", type=int,
                      help="override the train/test split seed")
-    for f in fields(ModelConfig) + fields(TrainConfig):
+    for f in config_fields:
         if f.name != "seed":
             sub.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
                              type=type(f.default))
@@ -205,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default="model.ckpt", help="checkpoint output path")
     p_train.add_argument("--log", help="log file (default: <out>.log)")
     p_train.add_argument("--threshold", type=float, default=0.5)
-    _add_config_flags(p_train)
+    _add_config_flags(p_train, "seed for init, split, and shuffling",
+                      fields(ModelConfig) + fields(TrainConfig))
     p_train.set_defaults(func=cmd_train)
 
     p_eval = subs.add_parser("eval", help="evaluate a checkpoint")
@@ -213,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", help="dataset CSV path")
     p_eval.add_argument("--toy", action="store_true")
     p_eval.add_argument("--threshold", type=float, default=0.5)
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, "seed of the train/test split only")
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = subs.add_parser("gradcheck", help="finite-difference gradient check")

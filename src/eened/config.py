@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import ast
 import sys
-from dataclasses import InitVar, dataclass, fields
-from typing import Iterable, Optional
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 from .tensor import ConfigError
 
@@ -59,6 +59,22 @@ def check_range(obj, rule: str, ok, *names: str) -> None:
             raise ConfigError(f"{name} must be {rule}, got {v!r}")
 
 
+def _takes_derived_sizes(cls):
+    """Wrap the generated ``__init__`` so it takes the derived sizes
+    keyword-only; unlike InitVars, ``dataclasses.replace`` does not pass them."""
+    init = cls.__init__
+
+    def __init__(self, *args, head_dim=None, conv_pad=None, **kwargs):
+        init(self, *args, **kwargs)
+        for name, v in (("head_dim", head_dim), ("conv_pad", conv_pad)):
+            if v is not None and (type(v) is not int or v != getattr(self, name)):
+                raise ConfigError(f"{name} is derived as {getattr(self, name)}, got {v!r}")
+
+    cls.__init__ = __init__
+    return cls
+
+
+@_takes_derived_sizes
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters. Two sizes are derived, not set: each
@@ -75,14 +91,17 @@ class ModelConfig:
     t_in: int = 178
     classifier_hidden: int = 128
     seed: int = 0
-    head_dim: InitVar[Optional[int]] = None
-    conv_pad: InitVar[Optional[int]] = None
 
-    def __post_init__(self, head_dim, conv_pad):
+    def __post_init__(self):
         self.validate()
-        for name, v in (("head_dim", head_dim), ("conv_pad", conv_pad)):
-            if v is not None and (type(v) is not int or v != getattr(self, name)):
-                raise ConfigError(f"{name} is derived as {getattr(self, name)}, got {v!r}")
+
+    @property
+    def head_dim(self) -> int:
+        return self.d_model // self.n_heads
+
+    @property
+    def conv_pad(self) -> int:
+        return (self.conv_kernel - 1) // 2
 
     def validate(self) -> None:
         _check_types(self)
@@ -101,25 +120,16 @@ class ModelConfig:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
 
 
-# set after the body, where the InitVar defaults leave both names reading None
-ModelConfig.head_dim = property(lambda self: self.d_model // self.n_heads)
-ModelConfig.conv_pad = property(lambda self: (self.conv_kernel - 1) // 2)
-
-
 @dataclass
 class TrainConfig:
-    """Optimization hyperparameters."""
+    """Optimization hyperparameters; Adam's own constants are fixed in
+    ``train``."""
 
     epochs: int = 20
     batch_size: int = 32
     lr: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     seed: int = 0
     eval_every: int = 1
-    warmup_steps: int = 0
 
     def __post_init__(self):
         self.validate()
@@ -127,9 +137,8 @@ class TrainConfig:
     def validate(self) -> None:
         _check_types(self)
         check_range(self, ">= 1", lambda v: v >= 1, "epochs", "batch_size", "eval_every")
-        check_range(self, ">= 0", lambda v: v >= 0, "seed", "warmup_steps", "weight_decay")
-        check_range(self, "positive", lambda v: v > 0, "lr", "adam_eps")
-        check_range(self, "in [0, 1)", lambda v: 0 <= v < 1, "adam_beta1", "adam_beta2")
+        check_range(self, ">= 0", lambda v: v >= 0, "seed")
+        check_range(self, "positive", lambda v: v > 0, "lr")
 
 
 def model_config_to_text(cfg: ModelConfig) -> str:

@@ -22,6 +22,9 @@ from .tensor import (ConfigError, ContractError, ParamStore, ShapeError,
 
 BCE_EPS = 1e-7
 
+# Adam's constants, at the defaults of Kingma & Ba (2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # Central-difference step, and the most coordinates sampled per parameter
 # tensor (drawn from seed 0), of every gradient check.
 GRADCHECK_STEP = 1e-5
@@ -147,29 +150,22 @@ def init_adam(params: ParamStore) -> AdamState:
 
 
 def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
-    """One in-place Adam update with bias correction. Weight decay enters the
-    gradient (L2 style); warmup scales lr linearly over the first
-    warmup_steps steps."""
+    """One in-place Adam update with bias correction, at ``cfg.lr`` and the
+    ADAM_* constants."""
     state.step += 1
     t = state.step
-    lr = cfg.lr
-    if cfg.warmup_steps > 0 and t <= cfg.warmup_steps:
-        lr = cfg.lr * t / cfg.warmup_steps
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
             raise ContractError(f"parameter {name} has no gradient")
-        if cfg.weight_decay > 0.0:
-            g = g + cfg.weight_decay * p.data
         m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= (cfg.lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -153,14 +153,12 @@ class TestTrainCommand:
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("flag, value, field", [
-        ("--weight-decay", "nan", "weight_decay"),
-        ("--adam-eps", "nan", "adam_eps"),
         ("--lr", "inf", "lr"),
+        ("--dropout-p", "nan", "dropout_p"),
         ("--threshold", "nan", "threshold"),
     ])
     def test_non_finite_real_option_is_config_error(self, capsys, tmp_path,
                                                     flag, value, field):
-        # a nan weight decay trained with decay silently off, a nan eps or
         # an infinite lr stopped only at step 2 (exit 5), and a nan
         # threshold labelled every row negative
         out = tmp_path / "m.ckpt"
@@ -198,10 +196,10 @@ class TestTrainCommand:
     def test_comment_lines_and_dashed_keys_in_config_file(self, capsys,
                                                           tmp_path):
         plain = tmp_path / "plain.cfg"
-        plain.write_text("epochs=2\neval_every=2\nadam_beta1=0.8\n")
+        plain.write_text("epochs=2\neval_every=2\nbatch_size=16\n")
         dashed = tmp_path / "dashed.cfg"
         dashed.write_text("# epochs=9\n\n  epochs = 2\n# eval_every=1\n"
-                          "eval-every=2\nadam-beta1 = 0.8\n")
+                          "eval-every=2\nbatch-size = 16\n")
         outs = []
         for cfg in (plain, dashed):
             out = tmp_path / (cfg.stem + ".ckpt")
@@ -211,6 +209,28 @@ class TestTrainCommand:
             assert re.findall(r"^epoch=(\d+) ", stdout, flags=re.M) == ["2"]
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_removed_optimizer_key_in_config_file_is_config_error(
+            self, capsys, tmp_path):
+        # Adam's constants, weight decay and warmup are no options any more
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("adam_beta1=0.8\n")
+        out = tmp_path / "m.ckpt"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--toy", "--out", str(out), "--config", str(cfg))
+        assert code == 1
+        assert f"{cfg}:1: unknown option 'adam_beta1'" in stderr
+        assert stdout == "" and not out.exists()
+
+    def test_toy_and_data_together_are_config_error(self, capsys, tmp_path):
+        # --data was ignored
+        out = tmp_path / "m.ckpt"
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--toy", "--data", str(tmp_path / "none.csv"),
+            "--out", str(out))
+        assert code == 1
+        assert "--toy" in stderr and "--data" in stderr
+        assert stdout == "" and not out.exists()
 
     def test_each_epoch_evaluates_once_and_the_summary_adds_none(
             self, capsys, tmp_path, monkeypatch):
@@ -240,17 +260,43 @@ class TestTrainCommand:
         assert blobs[0] == blobs[1]
 
 
+# the optimizer flags that went with their TrainConfig fields
+REMOVED_TRAIN_FLAGS = ["--adam-beta1", "--adam-beta2", "--adam-eps",
+                       "--weight-decay", "--warmup-steps"]
+# every model and training flag eval took, and could only ignore or check
+# against the checkpoint
+REMOVED_EVAL_FLAGS = ["--d-model", "--n-blocks", "--n-heads", "--conv-kernel",
+                      "--d-pwff", "--dropout-p", "--t-in", "--classifier-hidden",
+                      "--epochs", "--batch-size", "--lr", "--eval-every",
+                      *REMOVED_TRAIN_FLAGS]
+
+
 class TestConfigFlags:
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    # eval takes none of them: see test_removed_flags_are_rejected
+    @pytest.mark.parametrize("command", ["train"])
     def test_every_config_field_but_seed_has_a_flag_of_its_type(self, command):
         parser = build_parser()
-        base = [command] + (["--checkpoint", "x.ckpt"] if command == "eval" else [])
         for f in fields(ModelConfig) + fields(TrainConfig):
             if f.name == "seed":
                 continue
-            args = parser.parse_args(base + [f"--{f.name.replace('_', '-')}", "3"])
+            args = parser.parse_args([command, f"--{f.name.replace('_', '-')}", "3"])
             value = getattr(args, f.name)
             assert value == 3 and type(value) is type(f.default), f.name
+        assert type(parser.parse_args([command, "--seed", "3"]).seed) is int
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", REMOVED_TRAIN_FLAGS), ("eval", REMOVED_EVAL_FLAGS)],
+        ids=["train", "eval"])
+    def test_removed_flags_are_rejected(self, capsys, command, flags):
+        # eval --epochs 0 exited 1 on a value it never read, and eval
+        # --batch-size 7 --lr 5 --warmup-steps 3 exited 0 ignoring all three
+        parser = build_parser()
+        base = [command] + (["--checkpoint", "x.ckpt"] if command == "eval" else [])
+        assert len(flags) == (5 if command == "train" else 17)
+        for flag in flags:
+            with pytest.raises(SystemExit):
+                parser.parse_args(base + [flag, "3"])
+            assert "unrecognized arguments" in capsys.readouterr().err, flag
         assert type(parser.parse_args(base + ["--seed", "3"]).seed) is int
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -304,18 +350,18 @@ class TestEvalCommand:
         base = run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
                        "--seed", "7")
         assert base[0] == 0
-        assert run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
-                       "--seed", "7", "--d-model", "32") == base
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d_model=32\nn_blocks=1\nepochs=6\n")
         assert run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
                        "--seed", "7", "--config", str(cfg)) == base
 
     def test_model_option_differing_from_the_checkpoint_is_config_error(
-            self, capsys, trained):
+            self, capsys, tmp_path, trained):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_blocks=3\n")
         code, stdout, stderr = run_cli(
             capsys, "eval", "--checkpoint", str(trained), "--toy",
-            "--seed", "7", "--n-blocks", "3")
+            "--seed", "7", "--config", str(cfg))
         assert code == 1
         assert stdout == ""
         assert "n_blocks is 3 here but 1 in the checkpoint" in stderr
@@ -327,6 +373,25 @@ class TestEvalCommand:
             "--seed", "7", "--threshold", "nan")
         assert code == 1
         assert stdout == "" and "threshold must be finite" in stderr
+
+    @pytest.mark.parametrize("threshold", ["5", "-3"])
+    def test_threshold_outside_unit_interval_is_config_error(
+            self, capsys, trained, threshold):
+        # --threshold 5 exited 0 with tp = fp = 0
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--checkpoint", str(trained), "--toy",
+            "--seed", "7", "--threshold", threshold)
+        assert code == 1
+        assert stdout == "" and "threshold must be finite and in [0, 1]" in stderr
+
+    def test_toy_and_data_together_are_config_error(self, capsys, tmp_path,
+                                                    trained):
+        # --data was ignored, so a missing file exited 0
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--checkpoint", str(trained), "--toy",
+            "--data", str(tmp_path / "none.csv"))
+        assert code == 1
+        assert stdout == "" and "--toy" in stderr and "--data" in stderr
 
     def test_garbage_checkpoint_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -505,13 +570,14 @@ class TestPredictCommand:
         assert outs[1] == outs[0]
 
     @pytest.mark.parametrize("flag, value", [
-        ("--threshold", "nan"), ("--threshold", "inf"),
-        ("--norm-std", "0"), ("--norm-std", "-1"), ("--norm-std", "nan"),
+        ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-3"),
+        ("--threshold", "5"), ("--norm-std", "0"), ("--norm-std", "-1"), ("--norm-std", "nan"),
         ("--norm-std", "inf"), ("--norm-mean", "nan"), ("--norm-mean", "-inf"),
     ])
     def test_bad_float_option_is_config_error(self, capsys, trained, flag,
                                               value):
-        # --norm-std 0 printed p=nan label=0 and exited 0
+        # --norm-std 0 printed p=nan label=0 and exited 0, and --threshold
+        # -3 labelled every row 1
         features = ",".join(["0.25"] * load_checkpoint(trained).config.t_in)
         code, stdout, stderr = run_cli(
             capsys, "predict", "--checkpoint", str(trained),
@@ -543,6 +609,16 @@ class TestPredictCommand:
         code, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(trained))
         assert code == 1
         assert "--csv" in stderr or "--features" in stderr
+
+    def test_features_and_csv_together_are_config_error(self, capsys, tmp_path,
+                                                        trained):
+        # --csv was ignored
+        features = ",".join(["0.25"] * load_checkpoint(trained).config.t_in)
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained), "--features",
+            features, "--csv", str(tmp_path / "none.csv"))
+        assert code == 1
+        assert stdout == "" and "--features" in stderr and "--csv" in stderr
 
 
 def child_env():

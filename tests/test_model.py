@@ -9,7 +9,7 @@ import struct
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -80,6 +80,12 @@ class TestModelInit:
                 (dict(conv_pad=7.0), "conv_pad is derived as 7, got 7.0")]:
             with pytest.raises(ConfigError, match=message):
                 ModelConfig(**kwargs)
+
+    def test_replace_derives_anew(self):
+        # replace passed each InitVar the old derived value, and raised
+        assert replace(ModelConfig(), d_model=64).head_dim == 8
+        assert replace(ModelConfig(), conv_kernel=9).conv_pad == 4
+        assert replace(ModelConfig(), n_heads=4) == ModelConfig(n_heads=4)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError, match="conv_kernel"):

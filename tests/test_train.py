@@ -3,6 +3,7 @@ harness (including its negative control)."""
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from eened.model import model_forward_batch, model_init
 from eened.rng import SeedStream
 from eened.tensor import (ConfigError, ContractError, ParamStore, Tape, Tensor,
                           backward, _make)
-from eened.train import (Metrics, NonFiniteLossError, adam_step, bce_loss,
-                         evaluate, gradcheck_suite, init_adam,
+from eened.train import (ADAM_EPS, Metrics, NonFiniteLossError, adam_step,
+                         bce_loss, evaluate, gradcheck_suite, init_adam,
                          toy_model_config, train)
 
 
@@ -180,7 +181,7 @@ class TestAdam:
         store["w"].grad = np.ones(1)
         state = init_adam(store)
         adam_step(store, state, cfg)
-        want = 0.5 - cfg.lr / (1.0 + cfg.adam_eps)
+        want = 0.5 - cfg.lr / (1.0 + ADAM_EPS)
         assert_allclose(store["w"].data[0], want, rtol=0, atol=1e-12)
 
     def test_missing_gradient(self):
@@ -200,23 +201,6 @@ class TestAdam:
         adam_step(store, state, cfg)
         assert abs(state.m["w"][0]) < abs(m_after_one[0])
 
-    def test_weight_decay_pulls_toward_zero(self):
-        cfg = TrainConfig(lr=1e-2, weight_decay=0.1)
-        store = scalar_params(5.0)
-        store["w"].grad = np.zeros(1)
-        state = init_adam(store)
-        adam_step(store, state, cfg)
-        assert store["w"].data[0] < 5.0
-
-    def test_warmup_scales_first_steps(self):
-        cfg = TrainConfig(lr=1e-2, warmup_steps=10)
-        store = scalar_params(0.0)
-        store["w"].grad = np.ones(1)
-        state = init_adam(store)
-        adam_step(store, state, cfg)
-        full = 1e-2 / (1.0 + cfg.adam_eps)
-        assert_allclose(-store["w"].data[0], full / 10.0, rtol=1e-9)
-
     def test_in_place_update_preserves_identity(self):
         store = scalar_params(1.0)
         ref = store["w"]
@@ -226,21 +210,24 @@ class TestAdam:
 
 
 class TestTrainConfig:
+    def test_fields_are_the_five_a_run_sets(self):
+        # Adam's betas and eps, weight decay and warmup were fields that no
+        # caller set
+        assert [f.name for f in fields(TrainConfig)] == [
+            "epochs", "batch_size", "lr", "seed", "eval_every"]
+
     @pytest.mark.parametrize("field, value", [
-        ("weight_decay", math.nan), ("weight_decay", math.inf),
-        ("adam_eps", math.nan), ("adam_eps", math.inf),
         ("lr", math.inf), ("lr", math.nan),
     ])
     def test_non_finite_real_is_config_error(self, field, value):
-        # a nan weight decay trained with decay silently off (nan > 0 is
-        # False), and a nan eps or an infinite lr only failed at step 2
+        # an infinite lr only failed at step 2
         with pytest.raises(ConfigError, match=f"{field} must be a finite real"):
             TrainConfig(**{field: value})
 
     def test_field_types_follow_the_defaults(self):
-        assert TrainConfig(lr=1, weight_decay=0).lr == 1  # an int is a real
+        assert TrainConfig(lr=1).lr == 1  # an int is a real
         for kwargs in ({"epochs": 2.0}, {"batch_size": True}, {"lr": True},
-                       {"adam_eps": "1e-8"}, {"warmup_steps": None}):
+                       {"lr": "1e-4"}, {"eval_every": None}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
                 TrainConfig(**kwargs)
 
