@@ -8,19 +8,29 @@ written). Results go to stdout, diagnostics to stderr.
 On train, each config field but seed is a flag. Options may also come from
 a ``key=value`` file (--config) whose keys are config fields or split_seed;
 one file serves both train and eval. Eval takes its model config from the
-checkpoint, and a model key in the file must match it. Explicit flags win
-over the file, the file wins over defaults. A threshold must lie in [0, 1];
---toy and --data, like --csv and --features, exclude each other.
+checkpoint, and a model key in the file but seed must match it; of the
+training keys it reads only seed, which picks the split alone. Explicit
+flags win over the file, the file wins over defaults. A threshold must lie
+in [0, 1]; --toy and --data, like --csv and --features, exclude each other.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is set: the cores go to the program's own threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import fields
 from typing import Optional
+
+# BLAS threads would multiply with the program's own (eval blocks, checkpoint
+# load). This must run before the imports below load numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .config import ModelConfig, TrainConfig, check_range, read_key_values
 from .data import (DataError, Dataset, load_dataset, make_toy_dataset,
@@ -57,23 +67,28 @@ def _merge_options(args, defaults: dict) -> dict:
 def _build_configs(args, toy: bool, checkpoint: Optional[ModelConfig] = None
                    ) -> tuple[ModelConfig, TrainConfig, int]:
     """Configs from defaults, --config and flags. Given a checkpoint's model
-    config, that config is used, and a model field set here must match it."""
+    config, that config is used, and a model field set here but the seed
+    must match it; the seed only picks the split, and the other training
+    fields are ignored."""
     defaults: dict = {}
     if toy:
         defaults.update(TOY_MODEL)
         defaults.update(TOY_TRAIN)
     merged = _merge_options(args, defaults)
     model_kwargs = {k: merged[k] for k in MODEL_FIELDS if k in merged}
-    train_kwargs = {k: merged[k] for k in TRAIN_FIELDS if k in merged}
     if checkpoint is None:
         mcfg = ModelConfig(**model_kwargs)
+        read = TRAIN_FIELDS
     else:
         mcfg = checkpoint
+        # eval draws no weights: its seed picks the split, and no other
+        # training key is read
         for key, value in model_kwargs.items():
-            if value != getattr(mcfg, key):
+            if key != "seed" and value != getattr(mcfg, key):
                 raise ConfigError(f"{key} is {value!r} here but "
                                   f"{getattr(mcfg, key)!r} in the checkpoint")
-    tcfg = TrainConfig(**train_kwargs)
+        read = ["seed"]
+    tcfg = TrainConfig(**{k: merged[k] for k in read if k in merged})
     split_seed = merged.get("split_seed", tcfg.seed)
     if type(split_seed) is not int or split_seed < 0:
         raise ConfigError(f"split_seed must be a nonnegative integer, got {split_seed!r}")

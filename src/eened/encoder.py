@@ -31,8 +31,8 @@ def uniform_init(stream: Optional[SeedStream], shape: tuple[int, ...],
                  fan_in: int, dtype) -> Tensor:
     """Weight init: uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) from the
     stream's generator. With no stream nothing is drawn and the array is
-    left uninitialised, for a caller that fills every element (checkpoint
-    load); the ``*_init`` functions pass a ``None`` stream down unchanged."""
+    left uninitialised, for a caller that replaces it (checkpoint load);
+    the ``*_init`` functions pass a ``None`` stream down unchanged."""
     if stream is None:
         return Tensor(np.empty(shape, dtype=dtype))
     bound = math.sqrt(1.0 / fan_in)

@@ -7,17 +7,16 @@ config, then every parameter in canonical walk order as (u32 name length,
 name, u8 rank, u32 extents, little-endian f32 payload). All integers are
 little-endian. Round-tripping a float32 model is bitwise lossless.
 
-A checkpoint always loads as a float32 model. Loading draws no random
-numbers and holds no copy of the file: the model's parameter arrays are
-allocated empty (``model_init`` with ``_draw=False``)
-and each payload is read from the open file straight into its array, so a
-load costs about one pass over the file and its peak memory is about the
-parameters' own size.
+A checkpoint always loads as a float32 model whose parameters are views of
+one arena: a first pass checks the headers, a second reads the payloads on
+every core (``load_checkpoint``). Loading draws no random numbers and holds
+no copy of the file, so its peak memory is about the parameters' own size.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import struct
@@ -82,8 +81,8 @@ def model_init(cfg: ModelConfig, dtype: str | np.dtype = "float32", *,
     """Build a model with all parameters drawn deterministically from
     cfg.seed (each parameter gets its own named stream, so the draw does not
     depend on construction order). ``_draw=False`` is for
-    ``load_checkpoint`` alone: nothing is drawn and the weights are left
-    uninitialised for it to fill."""
+    ``load_checkpoint`` alone: nothing is drawn, and the weights are left
+    empty for it to read their shapes from and then replace."""
     cfg.validate()
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -133,13 +132,34 @@ def eval_block_rows(cfg: ModelConfig) -> int:
                EVAL_BLOCK_ELEMS // widest)
 
 
-def eval_workers() -> int:
-    """Threads for the untaped eval forward: one per CPU this process may
-    run on."""
+def cpu_workers() -> int:
+    """Threads for the work the program splits across cores (the untaped
+    eval forward's blocks, a checkpoint's payloads): one per CPU this process
+    may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def run_on_cpus(fn, items) -> None:
+    """Call ``fn`` on each of ``items`` on a pool of at most ``cpu_workers``
+    threads that lives for this call, or in the calling thread when there is
+    one worker or one item. The exception of the first failing item, in
+    ``items`` order, is re-raised once every thread has stopped; items not yet
+    started are then skipped."""
+    workers = min(cpu_workers(), len(items))
+    if workers <= 1:
+        for item in items:
+            fn(item)
+        return
+    # imported here: concurrent.futures pulls in logging (about 0.5 MB
+    # resident), which calls that never start a pool need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    # map yields in item order and cancels the queued items on an exception
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fn, items))
 
 
 def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
@@ -154,13 +174,11 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
     encoder runs over blocks of ``eval_block_rows`` rows whose activations
     stay in cache; the probabilities match the row-by-row forward's to float
     rounding (BLAS may order a product's sums differently for another row
-    count). The blocks run on a thread pool of ``eval_workers`` threads, at
-    most one per block, that lives for this call; each block computes what
-    it would serially and writes only its own rows, so the result is bitwise
-    the same for any number of threads. With one block or one CPU they run
-    in the calling thread. Taped or training forwards run the whole batch in
-    one pass, so the tape graph and the dropout stream do not depend on the
-    block size.
+    count). The blocks run on ``run_on_cpus``; each block computes what it
+    would serially and writes only its own rows, so the result is bitwise
+    the same for any number of threads. Taped or training forwards run the
+    whole batch in one pass, so the tape graph and the dropout stream do not
+    depend on the block size.
     """
     if x.ndim != 2 or x.shape[1] != m.config.t_in:
         raise ShapeError(
@@ -173,23 +191,11 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
         return _forward(m, x, rng if training else None)
     rows = eval_block_rows(m.config)
     out = np.empty(x.shape[0], dtype=m.dtype)
-    starts = range(0, len(out), rows)
 
     def run_block(i: int) -> None:
         out[i:i + rows] = _forward(m, Tensor(x.data[i:i + rows]), None).data
 
-    workers = min(eval_workers(), len(starts))
-    if workers <= 1:
-        for i in starts:
-            run_block(i)
-    else:
-        # imported here: concurrent.futures pulls in logging (about 0.5 MB
-        # resident), which forwards that never start a pool need not pay
-        from concurrent.futures import ThreadPoolExecutor
-
-        # map re-raises a block's exception here and cancels the queued ones
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run_block, starts))
+    run_on_cpus(run_block, range(0, len(out), rows))
     return Tensor(out)
 
 
@@ -246,11 +252,18 @@ def save_checkpoint(m: EenedModel, path) -> None:
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
 
 
+def _check_read(pos: int, n: int, got: int) -> None:
+    if got != n:  # the file shrank while it was being read
+        raise CheckpointTruncatedError(
+            f"checkpoint ended at byte {pos + got} while being read, "
+            f"but {pos + n} are needed")
+
+
 class _Reader:
-    """Reads an open checkpoint file front to back. Truncation is judged
-    from the file's size (``os.fstat``) before each read, and a read that
-    returns fewer bytes than asked for fails too, so a short read never
-    passes."""
+    """Reads the headers of an open checkpoint file front to back. Truncation
+    is judged from the file's size (``os.fstat``) before each read or skip,
+    and a read that returns fewer bytes than asked for fails too, so a short
+    read never passes."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -262,23 +275,20 @@ class _Reader:
             raise CheckpointTruncatedError(
                 f"checkpoint ends at byte {self.size} but {self.pos + n} are needed")
 
-    def _advance(self, n: int, got: int) -> None:
-        if got != n:  # the file shrank while it was being read
-            raise CheckpointTruncatedError(
-                f"checkpoint ended at byte {self.pos + got} while being read, "
-                f"but {self.pos + n} are needed")
-        self.pos += n
-
     def take(self, n: int) -> bytes:
         self._need(n)
         out = self.fh.read(n)
-        self._advance(n, len(out))
+        _check_read(self.pos, n, len(out))
+        self.pos += n
         return out
 
-    def take_into(self, arr: np.ndarray) -> None:
-        """Fill the C-contiguous ``arr`` with the next ``arr.nbytes`` bytes."""
-        self._need(arr.nbytes)
-        self._advance(arr.nbytes, self.fh.readinto(memoryview(arr).cast("B")))
+    def skip(self, n: int) -> int:
+        """Step over the next ``n`` bytes, which the file must hold; returns
+        their offset."""
+        self._need(n)
+        self.fh.seek(n, os.SEEK_CUR)
+        self.pos += n
+        return self.pos - n
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -289,11 +299,21 @@ class _Reader:
 
 def load_checkpoint(path) -> EenedModel:
     """Read a checkpoint and return a float32 model; validates magic, config
-    invariants, and every tensor against the config's shape table. Nothing
-    is drawn at random: the parameter arrays are allocated empty, and each
-    payload is read from the file straight into its array (and byteswapped
-    in place on a big-endian host). Any failure raises, so a partly filled
-    model is never returned."""
+    invariants, every tensor against the config's shape table, and every
+    value's finiteness. Nothing is drawn at random.
+
+    The first pass reads the headers and steps over the payloads, up to the
+    trailing-byte check. Then the empty arrays of ``model_init(cfg,
+    _draw=False)`` are released, and every parameter becomes a contiguous
+    view of one float32 arena, so one parameter's ``.data`` keeps the whole
+    arena alive. The second pass splits the payloads by bytes, in file order,
+    into one part per ``cpu_workers`` thread (``run_on_cpus``). Each part
+    opens the file, reads its bytes straight into their views (byteswapped
+    in place on a big-endian host) and checks them with ``min`` and ``max``,
+    through which NaN and infinities propagate. So any header failure
+    (truncation, a wrong name or shape, trailing bytes) is raised before a
+    non-finite value, and of two non-finite tensors the first in file order
+    is named. A partly filled model is never returned."""
     with open(path, "rb") as fh:
         r = _Reader(fh)
         if r.take(len(MAGIC)) != MAGIC:
@@ -303,7 +323,9 @@ def load_checkpoint(path) -> EenedModel:
         except ConfigError as e:
             raise CheckpointError(f"{path}: header: {e}") from None
         m = model_init(cfg, _draw=False)
-        for name, tensor in named_parameters(m):
+        params = named_parameters(m)
+        offsets = []
+        for name, tensor in params:
             stored = r.take(r.u32())
             if stored != name.encode("utf-8"):
                 raise CheckpointError(f"{path}: expected tensor {name!r}, "
@@ -313,11 +335,36 @@ def load_checkpoint(path) -> EenedModel:
             if shape != tensor.shape:
                 raise CheckpointShapeError(
                     f"{path}: tensor {name!r} has shape {shape}, config implies {tensor.shape}")
-            r.take_into(tensor.data)
-            if sys.byteorder != "little":
-                tensor.data.byteswap(inplace=True)
-            if not np.isfinite(tensor.data).all():
-                raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
+            offsets.append(r.skip(4 * tensor.size))
         if r.pos != r.size:
             raise CheckpointError(f"{path}: {r.size - r.pos} unexpected trailing bytes")
+
+    shapes = [tensor.shape for _, tensor in params]
+    for _, tensor in params:
+        tensor.data = None  # release the empty arrays before the arena exists
+    starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    arena = np.empty(starts[-1], dtype=np.float32)
+    for (_, tensor), shape, start, end in zip(params, shapes, starts, starts[1:]):
+        tensor.data = arena[start:end].reshape(shape)
+
+    def read_part(part: tuple[int, int]) -> None:
+        lo, hi = part
+        with open(path, "rb") as part_fh:
+            for (name, _), offset, start, end in zip(params, offsets, starts, starts[1:]):
+                a, b = max(start, lo), min(end, hi)
+                if a >= b:
+                    continue
+                view = arena[a:b]
+                pos = offset + 4 * (a - start)
+                part_fh.seek(pos)
+                _check_read(pos, view.nbytes,
+                            part_fh.readinto(memoryview(view).cast("B")))
+                if sys.byteorder != "little":
+                    view.byteswap(inplace=True)
+                if not (math.isfinite(view.min()) and math.isfinite(view.max())):
+                    raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
+
+    parts = cpu_workers()
+    cuts = [arena.size * k // parts for k in range(parts + 1)]
+    run_on_cpus(read_part, list(zip(cuts, cuts[1:])))
     return m

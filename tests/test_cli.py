@@ -366,6 +366,34 @@ class TestEvalCommand:
         assert stdout == ""
         assert "n_blocks is 3 here but 1 in the checkpoint" in stderr
 
+    def test_training_keys_in_a_shared_config_file_are_ignored(
+            self, capsys, tmp_path, trained):
+        # epochs=0 exited 1 with "epochs must be >= 1", though eval reads
+        # only the seed of the training keys
+        base = run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
+                       "--seed", "7")
+        assert base[0] == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=0\nlr=-1.0\nbatch_size=0\neval_every=0\nseed=7\n")
+        assert run_cli(capsys, "eval", "--checkpoint", str(trained), "--toy",
+                       "--config", str(cfg)) == base
+        for line, message in [("split_seed=-1\n", "split_seed must be a nonnegative"),
+                              ("epoch=0\n", "unknown option 'epoch'")]:
+            cfg.write_text(line)
+            code, stdout, stderr = run_cli(capsys, "eval", "--checkpoint",
+                                           str(trained), "--toy", "--config", str(cfg))
+            assert code == 1 and stdout == "" and message in stderr
+
+    def test_seed_picks_the_split_alone(self, capsys, trained):
+        # --seed 3 on a checkpoint trained at seed 7 exited 1 with "seed is 3
+        # here but 7 in the checkpoint", though eval draws no weights
+        code, stdout, stderr = run_cli(capsys, "eval", "--checkpoint", str(trained),
+                                       "--toy", "--seed", "3")
+        assert code == 0 and stderr == ""
+        assert (code, stdout, stderr) == run_cli(
+            capsys, "eval", "--checkpoint", str(trained), "--toy",
+            "--seed", "7", "--split-seed", "3")
+
     def test_non_finite_threshold_is_config_error(self, capsys, trained):
         # a nan threshold labelled every row negative and exited 0
         code, stdout, stderr = run_cli(
@@ -669,6 +697,22 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120, env=child_env())
         assert result.returncode == 0, result.stderr
         assert result.stderr == f"checkpoint written to {out}\n"
+
+    def test_cli_import_starts_no_blas_thread(self):
+        # OpenBLAS started one thread per core when numpy loaded, which
+        # multiplied with the eval threads
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads in")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one CPU: BLAS starts no thread of its own")
+        env = {k: v for k, v in child_env().items() if k not in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        count = ("import os, eened.cli, numpy; "
+                 "print(len(os.listdir('/proc/self/task')))")
+        result = subprocess.run([sys.executable, "-c", count], capture_output=True,
+                                text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1\n"
 
     def test_every_module_runs_on_numpy_alone(self, tmp_path):
         # [project].dependencies names numpy only

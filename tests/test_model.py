@@ -21,7 +21,7 @@ import eened.model
 from eened.config import ModelConfig, model_config_to_text
 from eened.model import (MAGIC, CheckpointError, CheckpointMagicError,
                          CheckpointShapeError, CheckpointTruncatedError,
-                         eval_block_rows, eval_workers, load_checkpoint,
+                         cpu_workers, eval_block_rows, load_checkpoint,
                          model_forward_batch, model_init, named_parameters,
                          save_checkpoint)
 from eened.tensor import ConfigError, ContractError, ShapeError, Tape, Tensor
@@ -188,7 +188,7 @@ def blocked_model(dtype="float32"):
 
 
 def pin_workers(monkeypatch, n):
-    monkeypatch.setattr(eened.model, "eval_workers", lambda: n)
+    monkeypatch.setattr(eened.model, "cpu_workers", lambda: n)
 
 
 class TestBlockedEval:
@@ -251,9 +251,9 @@ class TestBlockedEval:
 class TestThreadedEval:
     def test_workers_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert eval_workers() == len(os.sched_getaffinity(0))
+            assert cpu_workers() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert eval_workers() == (os.cpu_count() or 1)
+        assert cpu_workers() == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("n", [0, 5, 37, 100])
@@ -523,6 +523,89 @@ class TestCheckpoint:
         param_bytes = sum(t.data.nbytes for _, t in named_parameters(m))
         assert param_bytes >= 3 << 20
         assert peak < 1.25 * param_bytes
+
+    def test_every_parameter_is_a_view_of_one_arena(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(toy_model(seed=26), path)
+        params = named_parameters(load_checkpoint(path))
+        arena = params[0][1].data.base
+        assert arena is not None and arena.ndim == 1
+        assert all(t.data.base is arena and t.data.flags.c_contiguous
+                   for _, t in params)
+        assert arena.nbytes == sum(t.data.nbytes for _, t in params)
+
+    def test_worker_count_does_not_change_the_loaded_bits(self, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(toy_model(seed=27), path)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+            pin_workers(patch, 1)
+            serial = [t.data.tobytes() for _, t in
+                      named_parameters(load_checkpoint(path))]
+        # more parts than cores under fast switching: a part read into the
+        # wrong bytes of the arena changes the result
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, (os.cpu_count() or 1) + 2):
+                pin_workers(monkeypatch, workers)
+                assert [t.data.tobytes() for _, t in named_parameters(
+                    load_checkpoint(path))] == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_the_last_tensor_is_named(self, tmp_path,
+                                                          monkeypatch, bad):
+        # with two workers the last tensor is in the pool's second part
+        m = toy_model()
+        name, last = named_parameters(m)[-1]
+        last.data[...] = bad
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        pin_workers(monkeypatch, 2)
+        with pytest.raises(CheckpointError,
+                           match=f"tensor {re.escape(repr(name))} has non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_non_finite_tensor_in_file_order_is_named(self, tmp_path,
+                                                            monkeypatch, workers):
+        m = toy_model()
+        params = named_parameters(m)
+        for _, t in (params[0], params[len(params) // 2], params[-1]):
+            t.data.reshape(-1)[-1] = np.inf
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        pin_workers(monkeypatch, workers)
+        with pytest.raises(CheckpointError,
+                           match=f"tensor {re.escape(repr(params[0][0]))} has"):
+            load_checkpoint(path)
+
+    def test_header_failure_is_reported_before_a_non_finite_payload(self, tmp_path):
+        m = toy_model()
+        m.embed_w.data[0, 0] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        path.write_bytes(path.read_bytes() + b"xx")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_failed_load_leaves_no_thread(self, tmp_path, monkeypatch):
+        m = toy_model()
+        named_parameters(m)[-1][1].data[...] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        pin_workers(monkeypatch, 2)
+        before = set(threading.enumerate())
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+        assert set(threading.enumerate()) == before
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, full_disk):
         path = tmp_path / "m.ckpt"
