@@ -40,21 +40,18 @@ from .model import (CheckpointError, atomic_write, load_checkpoint,
 from .tensor import ConfigError, Tensor
 from .train import NonFiniteLossError, evaluate, gradcheck_suite, train
 
-MODEL_FIELDS = [f.name for f in fields(ModelConfig)]
-TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
-CONFIG_KEYS = MODEL_FIELDS + TRAIN_FIELDS + ["split_seed"]
+CONFIG_KEYS = [f.name for f in fields(ModelConfig) + fields(TrainConfig)] + ["split_seed"]
 
 # --toy shrinks the network so an end-to-end run stays in CI budget.
-TOY_MODEL = dict(d_model=32, n_heads=4, n_blocks=1, d_pwff=64, t_in=64,
-                 classifier_hidden=32)
-TOY_TRAIN = dict(epochs=10, lr=1e-3)
+TOY = dict(d_model=32, n_heads=4, n_blocks=1, d_pwff=64, t_in=64,
+           classifier_hidden=32, epochs=10, lr=1e-3)
 TOY_ROWS = 384
 
 
 def _merge_options(args, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
     merged = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             merged.update(read_key_values(fh, args.config, CONFIG_KEYS))
     for key in CONFIG_KEYS:
@@ -64,45 +61,26 @@ def _merge_options(args, defaults: dict) -> dict:
     return merged
 
 
-def _build_configs(args, toy: bool, checkpoint: Optional[ModelConfig] = None
-                   ) -> tuple[ModelConfig, TrainConfig, int]:
-    """Configs from defaults, --config and flags. Given a checkpoint's model
-    config, that config is used, and a model field set here but the seed
-    must match it; the seed only picks the split, and the other training
-    fields are ignored."""
-    defaults: dict = {}
-    if toy:
-        defaults.update(TOY_MODEL)
-        defaults.update(TOY_TRAIN)
-    merged = _merge_options(args, defaults)
-    model_kwargs = {k: merged[k] for k in MODEL_FIELDS if k in merged}
-    if checkpoint is None:
-        mcfg = ModelConfig(**model_kwargs)
-        read = TRAIN_FIELDS
-    else:
-        mcfg = checkpoint
-        # eval draws no weights: its seed picks the split, and no other
-        # training key is read
-        for key, value in model_kwargs.items():
-            if key != "seed" and value != getattr(mcfg, key):
-                raise ConfigError(f"{key} is {value!r} here but "
-                                  f"{getattr(mcfg, key)!r} in the checkpoint")
-        read = ["seed"]
-    tcfg = TrainConfig(**{k: merged[k] for k in read if k in merged})
-    split_seed = merged.get("split_seed", tcfg.seed)
+def _config(cls, merged: dict):
+    """``cls`` built from the merged options that name its fields."""
+    return cls(**{f.name: merged[f.name] for f in fields(cls) if f.name in merged})
+
+
+def _split_seed(merged: dict, seed: int) -> int:
+    """The split's seed: ``split_seed`` when given, else the run's seed."""
+    split_seed = merged.get("split_seed", seed)
     if type(split_seed) is not int or split_seed < 0:
         raise ConfigError(f"split_seed must be a nonnegative integer, got {split_seed!r}")
-    return mcfg, tcfg, split_seed
+    return split_seed
 
 
-def _load_split_dataset(args, mcfg: ModelConfig, split_seed: int) -> Dataset:
+def _load_split_dataset(args, t_in: int, split_seed: int) -> Dataset:
     if args.toy == bool(args.data):
         raise ConfigError("exactly one of --data and --toy is required")
     if args.toy:
-        ds = make_toy_dataset(TOY_ROWS, mcfg.t_in, split_seed)
+        ds = make_toy_dataset(TOY_ROWS, t_in, split_seed)
     else:
-        ds = load_dataset(args.data, mcfg.t_in)
-        ds = split(ds, split_seed)
+        ds = split(load_dataset(args.data, t_in), split_seed)
     return normalize(ds)
 
 
@@ -113,17 +91,12 @@ def _load_split_dataset(args, mcfg: ModelConfig, split_seed: int) -> Dataset:
 
 def cmd_train(args) -> int:
     check_range(args, "finite and in [0, 1]", lambda v: 0 <= v <= 1, "threshold")
-    mcfg, tcfg, split_seed = _build_configs(args, args.toy)
-    dataset = _load_split_dataset(args, mcfg, split_seed)
+    merged = _merge_options(args, TOY if args.toy else {})
+    mcfg, tcfg = _config(ModelConfig, merged), _config(TrainConfig, merged)
+    dataset = _load_split_dataset(args, mcfg.t_in, _split_seed(merged, tcfg.seed))
     model = model_init(mcfg)
     started = time.monotonic()
-    log_lines: list[str] = []
-
-    def log_fn(line: str) -> None:
-        log_lines.append(line)
-        print(line)
-
-    model, logs = train(model, dataset, tcfg, threshold=args.threshold, log_fn=log_fn)
+    model, logs = train(model, dataset, tcfg, threshold=args.threshold, log_fn=print)
     save_checkpoint(model, args.out)
     # train() restored the parameters of its first most accurate evaluation,
     # the one max() picks
@@ -133,9 +106,8 @@ def cmd_train(args) -> int:
                + f"norm_mean={mean!r}\nnorm_std={std!r}\n"
                + f"train_seconds={time.monotonic() - started:.1f}\n")
     print(summary, end="")
-    log_path = args.log or (args.out + ".log")
-    with atomic_write(log_path) as fh:
-        fh.write(("\n".join(log_lines) + ("\n" if log_lines else "")
+    with atomic_write(args.log or (args.out + ".log")) as fh:
+        fh.write(("".join(entry.line() + "\n" for entry in logs)
                   + summary).encode("utf-8"))
     print(f"checkpoint written to {args.out}", file=sys.stderr)
     return 0
@@ -144,8 +116,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     check_range(args, "finite and in [0, 1]", lambda v: 0 <= v <= 1, "threshold")
     model = load_checkpoint(args.checkpoint)
-    mcfg, _, split_seed = _build_configs(args, False, model.config)
-    dataset = _load_split_dataset(args, mcfg, split_seed)
+    merged, ckpt = _merge_options(args, {}), model.config
+    # eval draws no weights: its seed picks the split, and no other training
+    # key is read
+    for key in [f.name for f in fields(ckpt) if f.name in merged and f.name != "seed"]:
+        if merged[key] != getattr(ckpt, key):
+            raise ConfigError(f"{key} is {merged[key]!r} here but "
+                              f"{getattr(ckpt, key)!r} in the checkpoint")
+    seed = TrainConfig(seed=merged.get("seed", TrainConfig.seed)).seed
+    dataset = _load_split_dataset(args, ckpt.t_in, _split_seed(merged, seed))
     metrics = evaluate(model, dataset, threshold=args.threshold)
     print(metrics.report(), end="")
     return 0
@@ -173,11 +152,11 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     t_in = model.config.t_in
     if args.features:
-        cells = args.features.replace(",", " ").split()
         try:
-            rows = read_floats([",".join(cells)])
+            rows = read_floats([args.features])
         except ValueError as e:
             raise DataError(f"inline feature list: {e}") from None
+        cells = args.features.split(",")
         bad = [cell for cell, v in zip(cells, rows[0]) if not math.isfinite(v)]
         if bad:
             raise DataError(f"inline feature list: non-finite value {bad[0]!r}")

@@ -259,6 +259,12 @@ def _check_read(pos: int, n: int, got: int) -> None:
             f"but {pos + n} are needed")
 
 
+def _identity(fh) -> tuple[int, int, int, int]:
+    """What tells an open file apart from one renamed into its place later."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 class _Reader:
     """Reads the headers of an open checkpoint file front to back. Truncation
     is judged from the file's size (``os.fstat``) before each read or skip,
@@ -267,7 +273,8 @@ class _Reader:
 
     def __init__(self, fh):
         self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
+        self.identity = _identity(fh)
+        self.size = self.identity[2]
         self.pos = 0
 
     def _need(self, n: int) -> None:
@@ -313,7 +320,9 @@ def load_checkpoint(path) -> EenedModel:
     through which NaN and infinities propagate. So any header failure
     (truncation, a wrong name or shape, trailing bytes) is raised before a
     non-finite value, and of two non-finite tensors the first in file order
-    is named. A partly filled model is never returned."""
+    is named. A partly filled model is never returned, nor one whose parts
+    come from two files: a part raises when the path no longer names the file
+    the first pass read, as after a save renamed a new file into place."""
     with open(path, "rb") as fh:
         r = _Reader(fh)
         if r.take(len(MAGIC)) != MAGIC:
@@ -350,6 +359,8 @@ def load_checkpoint(path) -> EenedModel:
     def read_part(part: tuple[int, int]) -> None:
         lo, hi = part
         with open(path, "rb") as part_fh:
+            if _identity(part_fh) != r.identity:
+                raise CheckpointError(f"{path}: replaced while being read")
             for (name, _), offset, start, end in zip(params, offsets, starts, starts[1:]):
                 a, b = max(start, lo), min(end, hi)
                 if a >= b:

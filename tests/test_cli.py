@@ -249,6 +249,15 @@ class TestTrainCommand:
         assert code == 0
         assert len(calls) == 3
 
+    def test_log_file_is_the_printed_output(self, capsys, tmp_path):
+        # epoch 1 is not evaluated, so it prints no line and logs none
+        out = tmp_path / "m.ckpt"
+        code, stdout, _ = run_cli(capsys, "train", "--toy", "--out", str(out),
+                                  "--epochs", "3", "--eval-every", "2")
+        assert code == 0
+        assert stdout.startswith("epoch=2 ")
+        assert (tmp_path / "m.ckpt.log").read_bytes() == stdout.encode("utf-8")
+
     def test_determinism_across_runs(self, capsys, tmp_path):
         blobs = []
         for name in ("a.ckpt", "b.ckpt"):
@@ -632,6 +641,19 @@ class TestPredictCommand:
             capsys, "predict", "--checkpoint", str(trained), "--csv", str(seg))
         assert code == 2
         assert stdout == "" and f"segments.csv:2: non-finite value '{cell}'" in stderr
+
+    @pytest.mark.parametrize("position", [1, None], ids=["empty", "trailing"])
+    def test_empty_feature_cell_is_data_error(self, capsys, trained, position):
+        # the list was re-split on commas and spaces, so an empty cell or a
+        # trailing comma vanished and the row was scored
+        t_in = load_checkpoint(trained).config.t_in
+        cells = ["0.5"] * t_in
+        cells.insert(len(cells) if position is None else position, "")
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained),
+            "--features", ",".join(cells))
+        assert code == 2
+        assert stdout == "" and stderr.startswith("data error: inline feature list:")
 
     def test_needs_an_input_source(self, capsys, trained):
         code, _, stderr = run_cli(capsys, "predict", "--checkpoint", str(trained))

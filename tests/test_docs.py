@@ -1,6 +1,7 @@
-"""The README's library example imports names that exist, and its command
-lines parse."""
+"""The README's library example imports names that exist, its command lines
+parse, and every flag it names exists."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -36,3 +37,16 @@ def test_command_line_examples_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_every_flag_named_is_an_option_of_some_command():
+    # pip's flag is the one the README names for another program
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                           README.read_text(encoding="utf-8")))
+    named.discard("--no-build-isolation")
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    known = {option for sub in subs.choices.values() for action in sub._actions
+             for option in action.option_strings}
+    assert "--features" in named
+    assert sorted(named - known) == []

@@ -607,6 +607,24 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert set(threading.enumerate()) == before
 
+    def test_checkpoint_replaced_during_its_load_is_an_error(self, tmp_path,
+                                                             monkeypatch):
+        # a save between the header pass and the payload pass returned seed
+        # 1's config with seed 2's parameters
+        path, other = tmp_path / "m.ckpt", tmp_path / "other.ckpt"
+        save_checkpoint(toy_model(seed=1), path)
+        save_checkpoint(toy_model(seed=2), other)
+        inner = eened.model.run_on_cpus
+
+        def replace_first(fn, items):
+            os.replace(other, path)
+            return inner(fn, items)
+
+        monkeypatch.setattr(eened.model, "run_on_cpus", replace_first)
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: replaced while being read$"):
+            load_checkpoint(path)
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, full_disk):
         path = tmp_path / "m.ckpt"
         save_checkpoint(toy_model(seed=1), path)
