@@ -20,10 +20,13 @@ def main(argv=None):
     parser.add_argument("out", help="path of the CSV to write")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rows", type=int, default=11500,
-                        help="total row count (must be a multiple of 5)")
+                        help="total row count (a positive multiple of 5)")
     args = parser.parse_args(argv)
 
-    write_synthetic_public_csv(args.out, seed=args.seed, n=args.rows)
+    try:
+        write_synthetic_public_csv(args.out, seed=args.seed, n=args.rows)
+    except ValueError as e:
+        parser.error(str(e))
     print(f"wrote {args.rows} rows to {args.out}")
     return 0
 

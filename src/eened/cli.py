@@ -33,8 +33,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .config import ModelConfig, TrainConfig, check_range, read_key_values
-from .data import (DataError, Dataset, load_dataset, make_toy_dataset,
-                   normalize, read_csv, read_floats, split, zscore)
+from .data import (DataError, Dataset, is_label, load_dataset, make_toy_dataset,
+                   normalize, read_csv, read_rows, split, zscore)
 from .model import (CheckpointError, atomic_write, load_checkpoint,
                     model_forward_batch, model_init, save_checkpoint)
 from .tensor import ConfigError, Tensor
@@ -152,17 +152,10 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     t_in = model.config.t_in
     if args.features:
-        try:
-            rows = read_floats([args.features])
-        except ValueError as e:
-            raise DataError(f"inline feature list: {e}") from None
-        cells = args.features.split(",")
-        bad = [cell for cell, v in zip(cells, rows[0]) if not math.isfinite(v)]
-        if bad:
-            raise DataError(f"inline feature list: non-finite value {bad[0]!r}")
+        rows = read_rows(lambda: [(1, args.features)], "inline feature list")
     else:
         rows = read_csv(args.csv)
-        if rows.shape[1] == t_in + 1:
+        if rows.shape[1] == t_in + 1 and is_label(rows[:, -1]).all():
             rows = rows[:, :-1]  # a trailing label column is dropped
     if rows.shape[1] != t_in:
         raise DataError(f"expected {t_in} features per segment, got {rows.shape[1]}")

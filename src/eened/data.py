@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterator, Optional
@@ -111,16 +112,16 @@ def sniff_csv(path) -> tuple[bool, bool]:
     columns (``_numbered_from``). The first column is an id when the first
     data cell is not a number, or when a numbering header leaves it unnamed
     (pandas' row index)."""
-    with open(path, newline="") as fh:
-        lines = (line for line in fh if line.strip())
-        first = next(lines, None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        width = len(next(csv.reader([first])))
-        numbered = _numbered_from(first)
-        has_header = (numbered is not None
-                      or not any(_is_numeric(first, [j]) for j in range(width)))
-        probe = next(lines, first) if has_header else first
+    with closing(_data_lines(path, has_header=False)) as lines:
+        head = [line for _, line in islice(lines, 2)]
+    if not head:
+        raise DataError(f"{path}: empty file")
+    first = head[0]
+    width = len(next(csv.reader([first])))
+    numbered = _numbered_from(first)
+    has_header = (numbered is not None
+                  or not any(_is_numeric(first, [j]) for j in range(width)))
+    probe = head[-1] if has_header else first
     return has_header, numbered == 1 or not _is_numeric(probe, usecols=[0])
 
 
@@ -132,48 +133,59 @@ def _data_lines(path, has_header: bool) -> Iterator[tuple[int, str]]:
         yield from islice(lines, int(has_header), None)
 
 
-def _cell(path, has_header: bool, row: int, col: int) -> tuple[int, str]:
-    """(file line number, text) of cell ``col`` of data row ``row``."""
-    lineno, line = next(islice(_data_lines(path, has_header), int(row), None))
+def _cell(lines, row: int, col: int) -> tuple[int, str]:
+    """(line number, text) of cell ``col`` of row ``row`` of ``lines()``."""
+    lineno, line = next(islice(lines(), int(row), None))
     return lineno, next(csv.reader([line]))[col]
 
 
-def _read_error(path, has_header: bool, first_col: int,
-                cause: ValueError) -> DataError:
-    """Find the line that made the whole-file read fail by reading the data
-    lines one at a time: the first row fixes the column count."""
+def _read_error(lines, where, first_col: int, cause: ValueError) -> DataError:
+    """Find the line that made the whole read fail by reading the lines one
+    at a time: the first row fixes the column count."""
     width = None
-    for lineno, line in _data_lines(path, has_header):
+    for lineno, line in lines():
         cells = next(csv.reader([line]))
         width = width or len(cells)
         if len(cells) != width:
-            return DataError(
-                f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
+            return DataError(f"{where}:{lineno}: expected {width} columns, found {len(cells)}")
         cols = range(first_col, width)
         if not _is_numeric(line, cols):
             bad = next((cells[j] for j in cols if not _is_numeric(line, [j])),
                        line.strip())
-            return DataError(f"{path}:{lineno}: non-numeric feature value {bad!r}")
-    return DataError(f"{path}: {cause}")
+            return DataError(f"{where}:{lineno}: non-numeric feature value {bad!r}")
+    return DataError(f"{where}: {cause}")
+
+
+def read_rows(lines, where, id_column: bool = False) -> np.ndarray:
+    """The (line number, text) pairs of ``lines()`` as one float32 matrix,
+    less the first column if ``id_column``. A non-numeric cell, a changed
+    column count or a non-finite float32 (``nan``, ``inf``, ``1e39``) is an
+    error starting ``where:line``. CSV files and ``--features`` read here."""
+    try:
+        m = read_floats((line for _, line in lines()),
+                        converters=_ID_PLACEHOLDER if id_column else None)
+    except ValueError as e:
+        raise _read_error(lines, where, int(id_column), e) from None
+    if not np.isfinite(m).all():
+        lineno, cell = _cell(lines, *np.argwhere(~np.isfinite(m))[0])
+        raise DataError(f"{where}:{lineno}: non-finite value {cell!r}")
+    return m[:, 1:] if id_column else m
 
 
 def read_csv(path) -> np.ndarray:
     """Every data row of a CSV file as one (rows, columns) float32 matrix,
     without the header and the id column (see ``sniff_csv``); blank lines
-    are skipped. A cell that is not a finite float32 (``nan``, ``inf``,
-    ``1e39``) is an error. Errors name the 1-based file line."""
+    are skipped. Errors name the 1-based file line (``read_rows``)."""
     has_header, id_column = sniff_csv(path)
-    try:
-        m = read_floats((line for _, line in _data_lines(path, has_header)),
-                        converters=_ID_PLACEHOLDER if id_column else None)
-    except ValueError as e:
-        raise _read_error(path, has_header, int(id_column), e) from None
+    m = read_rows(lambda: _data_lines(path, has_header), path, id_column)
     if m.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    if not np.isfinite(m).all():
-        lineno, cell = _cell(path, has_header, *np.argwhere(~np.isfinite(m))[0])
-        raise DataError(f"{path}:{lineno}: non-finite value {cell!r}")
-    return m[:, 1:] if id_column else m
+    return m
+
+
+def is_label(values: np.ndarray) -> np.ndarray:
+    """Whether each value is a label of the public file: an integer in 1..5."""
+    return np.isin(values, np.arange(1, 6))
 
 
 def load_dataset(path, t_in: int) -> Dataset:
@@ -181,9 +193,9 @@ def load_dataset(path, t_in: int) -> Dataset:
     positive class, labels 2-5 the negative. Split is not yet assigned."""
     m = read_csv(path)
     labels = m[:, -1]
-    bad = np.flatnonzero(~np.isin(labels, np.arange(1, 6)))
+    bad = np.flatnonzero(~is_label(labels))
     if bad.size:
-        lineno, cell = _cell(path, sniff_csv(path)[0], bad[0], -1)
+        lineno, cell = _cell(lambda: _data_lines(path, sniff_csv(path)[0]), bad[0], -1)
         raise DataError(f"{path}:{lineno}: label must be an integer in 1..5, "
                         f"got {cell!r}")
     if m.shape[1] - 1 != t_in:
@@ -323,10 +335,13 @@ def make_toy_dataset(n: int, t_in: int, seed: int) -> Dataset:
 def write_synthetic_public_csv(path, seed: int = 0, n: int = 11500,
                                t_in: int = 178) -> None:
     """A file with the public dataset's layout: header, id column, n rows of
-    t_in integer samples, label column cycling 1..5 in equal counts. Feature
-    values are noise; only the layout and label histogram matter."""
+    t_in integer samples, labels 1..5 in equal counts, so n must be a positive
+    multiple of 5 (ValueError before the file is opened). Feature values are
+    noise; only the layout and label histogram matter."""
+    if n <= 0 or n % 5:
+        raise ValueError(f"row count must be a positive multiple of 5, got {n}")
     rng = SeedStream(seed).child("synthetic-csv").generator()
-    labels = np.tile(np.arange(1, 6, dtype=np.int64), n // 5 + 1)[:n]
+    labels = np.tile(np.arange(1, 6, dtype=np.int64), n // 5)
     labels = labels[rng.permutation(n)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

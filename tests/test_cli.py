@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import eened.cli
+import eened.data
 import eened.train
 from eened.cli import build_parser, main
 from eened.config import ModelConfig, TrainConfig
@@ -641,6 +642,71 @@ class TestPredictCommand:
             capsys, "predict", "--checkpoint", str(trained), "--csv", str(seg))
         assert code == 2
         assert stdout == "" and f"segments.csv:2: non-finite value '{cell}'" in stderr
+
+    def test_quoted_non_finite_feature_is_named_as_in_a_file(self, capsys,
+                                                             tmp_path, trained):
+        # the inline cell was named from a split on commas: '"nan"'
+        t_in = load_checkpoint(trained).config.t_in
+        cells = ["0.3"] * t_in
+        cells[1] = '"nan"'
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained),
+            "--features=" + ",".join(cells))
+        assert code == 2 and stdout == ""
+        assert stderr == "data error: inline feature list:1: non-finite value 'nan'\n"
+        seg = tmp_path / "segments.csv"
+        seg.write_text(",".join(cells) + "\n")
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained), "--csv", str(seg))
+        assert code == 2 and stdout == ""
+        assert stderr == f"data error: {seg}:1: non-finite value 'nan'\n"
+
+    def test_non_numeric_feature_is_named_with_its_position(self, capsys,
+                                                            trained):
+        # numpy's "could not convert string to float: 'abc'" was passed on
+        t_in = load_checkpoint(trained).config.t_in
+        cells = ["0.3"] * t_in
+        cells[5] = "abc"
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained),
+            "--features", ",".join(cells))
+        assert code == 2 and stdout == ""
+        assert stderr == ("data error: inline feature list:1: "
+                          "non-numeric feature value 'abc'\n")
+
+    def test_features_and_csv_rows_go_through_the_one_reader(
+            self, capsys, tmp_path, trained, monkeypatch):
+        t_in = load_checkpoint(trained).config.t_in
+        row = ",".join(["0.25"] * t_in)
+        seg = tmp_path / "segments.csv"
+        seg.write_text(row + "\n" + row + "\n")
+        calls = []
+        inner = eened.data.read_rows
+
+        def counting(lines, where, id_column=False):
+            calls.append(where)
+            return inner(lines, where, id_column)
+
+        monkeypatch.setattr(eened.data, "read_rows", counting)
+        monkeypatch.setattr(eened.cli, "read_rows", counting)
+        for source in (("--features", row), ("--csv", str(seg))):
+            code, _, _ = run_cli(capsys, "predict", "--checkpoint",
+                                 str(trained), *source)
+            assert code == 0
+        assert calls == ["inline feature list", str(seg)]
+
+    def test_trailing_column_of_non_labels_is_not_dropped(self, capsys,
+                                                          tmp_path, trained):
+        # any file with t_in + 1 columns lost its last one and was scored
+        t_in = load_checkpoint(trained).config.t_in
+        x = np.random.default_rng(5).normal(0.0, 1.0, size=(2, t_in + 1))
+        seg = tmp_path / "segments.csv"
+        seg.write_text("".join(",".join(f"{v:.6f}" for v in r) + "\n" for r in x))
+        code, stdout, stderr = run_cli(
+            capsys, "predict", "--checkpoint", str(trained), "--csv", str(seg))
+        assert code == 2 and stdout == ""
+        assert stderr == (f"data error: expected {t_in} features per segment, "
+                          f"got {t_in + 1}\n")
 
     @pytest.mark.parametrize("position", [1, None], ids=["empty", "trailing"])
     def test_empty_feature_cell_is_data_error(self, capsys, trained, position):

@@ -3,7 +3,9 @@ batching."""
 
 import gc
 import re
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,3 +364,19 @@ class TestToyData:
         ds = load_dataset(path, t_in=12)
         assert ds.x.shape == (50, 12)
         assert int(ds.y.sum()) == 10
+
+    @pytest.mark.parametrize("rows", [7, -5])
+    def test_synthetic_row_count_must_be_a_positive_multiple_of_5(
+            self, tmp_path, capsys, rows):
+        # 7 rows wrote label counts 2, 2, 1, 1, 1 and -5 rows a header only;
+        # the script said "wrote 7 rows" and exited 0
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValueError, match=f"multiple of 5, got {rows}"):
+            write_synthetic_public_csv(path, n=rows, t_in=4)
+        assert not path.exists()
+        script = Path(__file__).parents[1] / "scripts" / "make_synthetic_csv.py"
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(script))["main"]([str(path), "--rows", str(rows)])
+        assert done.value.code != 0 and not path.exists()
+        out, err = capsys.readouterr()
+        assert out == "" and f"multiple of 5, got {rows}" in err
