@@ -30,8 +30,8 @@ from .encoder import (EncoderBlockParams, child, encoder_block_forward,
                       encoder_block_init, named, uniform_init)
 from .rng import SeedStream
 from .tensor import (ConfigError, ContractError, ParamStore, ShapeError,
-                     Tensor, add, matmul, mean_axis, recording, reshape,
-                     sigmoid, swish)
+                     Tensor, add, cpu_workers, keep_ops_whole, matmul,
+                     mean_axis, recording, reshape, sigmoid, swish)
 
 MAGIC = b"EENEDCK1"
 
@@ -132,22 +132,14 @@ def eval_block_rows(cfg: ModelConfig) -> int:
                EVAL_BLOCK_ELEMS // widest)
 
 
-def cpu_workers() -> int:
-    """Threads for the work the program splits across cores (the untaped
-    eval forward's blocks, a checkpoint's payloads): one per CPU this process
-    may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def run_on_cpus(fn, items) -> None:
     """Call ``fn`` on each of ``items`` on a pool of at most ``cpu_workers``
     threads that lives for this call, or in the calling thread when there is
     one worker or one item. The exception of the first failing item, in
     ``items`` order, is re-raised once every thread has stopped; items not yet
-    started are then skipped."""
+    started are then skipped. The pool's threads keep their tape ops whole,
+    so the items, not the ops, take the cores; items run in the calling
+    thread may split their ops."""
     workers = min(cpu_workers(), len(items))
     if workers <= 1:
         for item in items:
@@ -158,7 +150,7 @@ def run_on_cpus(fn, items) -> None:
     from concurrent.futures import ThreadPoolExecutor
 
     # map yields in item order and cancels the queued items on an exception
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers, initializer=keep_ops_whole) as pool:
         list(pool.map(fn, items))
 
 

@@ -9,11 +9,23 @@ held, as soon as it has called it.
 
 Tensors are float32 or float64. Ops are pure; nothing is recorded unless a
 ``Tape`` is active, so evaluation-mode forward passes carry no bookkeeping.
+
+A large op (products, row-wise ops, the depthwise convolution, and the
+gradient sums of the sweep) splits its numpy work into parts, one per CPU,
+on a pool of part threads started at the first split and kept. Each part
+writes only its own slice of an output the calling thread allocated, and no
+part cuts an axis that a result sums over, so a split op is bitwise the
+whole one. Parts run numpy only: the calling thread records every node and
+runs every closure. Below ``SPLIT_MIN_ELEMS``, with one CPU, or in a thread
+that already runs one per core (``keep_ops_whole``), an op runs whole.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,6 +41,168 @@ class ConfigError(ValueError):
 
 class ContractError(RuntimeError):
     """An API contract was broken (non-scalar loss, missing gradient, ...)."""
+
+
+# ---------------------------------------------------------------------------
+# row parts on the program's threads
+# ---------------------------------------------------------------------------
+
+# Elements an op must write before it splits over the part threads, or, for
+# a product, its multiply-adds / GEMM_ELEM_MACS. Below it the op makes its
+# numpy calls whole in the calling thread: a split hands a part to another
+# thread and back, about 35 us, and splitting a (256, 256) row op or a
+# (890, 64) @ (64, 64) product made it slower on a 2-core box.
+SPLIT_MIN_ELEMS = 1 << 18
+GEMM_ELEM_MACS = 32
+
+
+def cpu_workers() -> int:
+    """Threads for the work the program splits across cores (large tape
+    ops, the untaped eval forward's blocks, a checkpoint's payloads): one per
+    CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Local(threading.local):
+    whole = False  # True in a thread whose ops never split
+
+
+_LOCAL = _Local()
+
+
+def keep_ops_whole() -> None:
+    """Mark the calling thread as one whose ops never split: threads that
+    already run one per core (a part thread, a ``run_on_cpus`` worker) would
+    otherwise multiply."""
+    _LOCAL.whole = True
+
+
+def _parts(work: int) -> int:
+    """Parts to cut an op of ``work`` elements into: one (run it whole)
+    below SPLIT_MIN_ELEMS or in a thread that keeps its ops whole, else one
+    per CPU."""
+    if work < SPLIT_MIN_ELEMS or _LOCAL.whole:
+        return 1
+    return cpu_workers()
+
+
+class _PartThread:
+    """A daemon thread that runs the tasks handed to it one at a time, each
+    under the floating-point error state of the thread that handed it over.
+    Two locks hand a task over and back: 35 us a round trip (median), against
+    51 us through a ``ThreadPoolExecutor`` on the same 2-core box."""
+
+    def __init__(self):
+        self.start, self.done = threading.Lock(), threading.Lock()
+        self.start.acquire()
+        self.done.acquire()
+        self.task = self.errstate = self.error = None
+        threading.Thread(target=self._loop, name="eened-part", daemon=True).start()
+
+    def _loop(self) -> None:
+        keep_ops_whole()
+        while True:
+            self.start.acquire()
+            try:
+                with np.errstate(**self.errstate):
+                    self.task()
+            except BaseException as e:  # re-raised in the caller by _run
+                self.error = e
+            self.task = None
+            self.done.release()
+
+
+_PART_THREADS: list[_PartThread] = []  # started at the first split, kept
+_PARTS_BUSY = threading.Lock()  # held by the thread whose split they run
+
+
+def _forget_part_threads() -> None:
+    """A forked child has none of its parent's threads."""
+    global _PARTS_BUSY
+    _PART_THREADS.clear()
+    _PARTS_BUSY = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_part_threads)
+
+
+def _run(tasks: Sequence[Callable[[], None]]) -> None:
+    """Run ``tasks[0]`` in the calling thread and each other task on its own
+    part thread, and return when all have finished; the exception of the
+    first failing task, in ``tasks`` order, is then re-raised. While another
+    thread's split holds the part threads, the tasks run here in order."""
+    if not _PARTS_BUSY.acquire(blocking=False):
+        for task in tasks:
+            task()
+        return
+    try:
+        while len(_PART_THREADS) < len(tasks) - 1:
+            _PART_THREADS.append(_PartThread())
+        threads = _PART_THREADS[:len(tasks) - 1]
+        errstate = np.geterr()
+        for th, task in zip(threads, tasks[1:]):
+            th.task, th.errstate, th.error = task, errstate, None
+            th.start.release()
+        try:
+            tasks[0]()
+        finally:
+            for th in threads:
+                th.done.acquire()
+        for th in threads:
+            error, th.error = th.error, None
+            if error is not None:
+                raise error
+    finally:
+        _PARTS_BUSY.release()
+
+
+def _cuts(n: int, parts: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` bounds of ``parts`` near-equal ranges of ``range(n)``
+    (fewer when n < parts)."""
+    parts = max(1, min(parts, n))
+    bounds = [n * k // parts for k in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _split(parts: int, fn: Callable[[int, int], None], n: int) -> None:
+    """``fn(0, n)``, or ``fn(lo, hi)`` on ``parts`` near-equal ranges of
+    ``range(n)``, one per thread."""
+    if parts == 1:
+        fn(0, n)
+    else:
+        _run([partial(fn, lo, hi) for lo, hi in _cuts(n, parts)])
+
+
+def _rows(parts: int, kernel: Callable, dtype, *arrays: np.ndarray,
+          **whole) -> np.ndarray:
+    """``kernel(*arrays, **whole)``, which returns a new array shaped like
+    ``arrays[0]``; or, for ``parts`` > 1, that array of ``dtype`` filled on
+    row parts, one per thread. The arrays share their leading axes, whose
+    flattening gives the rows, and ``whole`` (a weight, a bias) goes to every
+    part as it is. Each part calls the kernel on its rows with ``out=`` its
+    rows of the result, so the result is bitwise the whole call's."""
+    if parts == 1:
+        return kernel(*arrays, **whole)
+    out = np.empty(arrays[0].shape, dtype)
+    rows = [a.reshape(-1, a.shape[-1]) for a in (out,) + arrays]
+
+    def part(lo, hi):
+        kernel(*(r[lo:hi] for r in rows[1:]), out=rows[0][lo:hi], **whole)
+
+    _split(parts, part, len(rows[0]))
+    return out
+
+
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``; on row parts when large and ``b`` has ``a``'s shape or is
+    a vector over its last axis (a bias)."""
+    parts = _parts(a.size)
+    if parts == 1 or b.shape not in (a.shape, a.shape[-1:]):
+        return a + b
+    return _rows(parts, np.add, np.result_type(a, b), a, np.broadcast_to(b, a.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +228,9 @@ class Tape:
     """Append-only record of differentiable ops, used as a context manager.
 
     Only one tape may be active at a time (single-writer: one training step
-    runs on one logical thread).
+    runs on one logical thread). An op that splits over the part threads
+    still records its one node from the calling thread; the parts only fill
+    arrays.
     """
 
     def __init__(self):
@@ -130,7 +306,7 @@ def backward(loss: "Tensor") -> None:
             for i, gi in zip(node.inputs, fn(g)):
                 if gi is not None:
                     tgt = nodes[i]
-                    tgt.grad = gi if tgt.grad is None else tgt.grad + gi
+                    tgt.grad = gi if tgt.grad is None else _plus(tgt.grad, gi)
         leaf = node.leaf_tensor
         if leaf is not None:
             leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
@@ -222,7 +398,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _make("add", (a, b), a.data + b.data, bwd)
+    return _make("add", (a, b), _plus(a.data, b.data), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -269,20 +445,64 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # A weight product: fold a's leading axes into the rows of one GEMM,
         # so the weight gradient is one GEMM too rather than B summed ones.
         a2 = ad.reshape(-1, ad.shape[-1])
+        work = len(a2) * bd.size // GEMM_ELEM_MACS
+        # A weight with an extent of 1 makes a product matrix-vector, and a
+        # BLAS matrix-vector kernel can round a row differently once its
+        # rows are cut: those products stay whole.
+        exact = 1 not in bd.shape
 
         def bwd(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
+            parts = _parts(work) if exact else 1
+            if parts == 1:
+                return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
+            # dx by rows and dW by output columns, each on half the parts:
+            # no part cuts the B*T axis that dW sums over
+            dx = np.empty(a2.shape, np.result_type(g2, bd))
+            dw = np.empty(bd.shape, np.result_type(a2, g2))
+            _run([partial(np.matmul, g2[lo:hi], bd.T, out=dx[lo:hi])
+                  for lo, hi in _cuts(len(g2), (parts + 1) // 2)]
+                 + [partial(np.matmul, a2.T, g2[:, lo:hi], out=dw[:, lo:hi])
+                    for lo, hi in _cuts(bd.shape[1], parts // 2)])
+            return dx.reshape(ad.shape), dw
 
-        out = (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
-        return _make("matmul", (a, b), out, bwd)
+        parts = _parts(work) if exact else 1
+        if parts == 1:
+            out = a2 @ bd
+        else:
+            out = np.empty((len(a2), bd.shape[1]), np.result_type(ad, bd))
+            _split(parts, lambda lo, hi: np.matmul(a2[lo:hi], bd, out=out[lo:hi]),
+                   len(a2))
+        return _make("matmul", (a, b), out.reshape(ad.shape[:-1] + bd.shape[1:]), bwd)
+
+    # A batched product (attention scores, A.V) splits by batch.
+    batched = ad.ndim == bd.ndim == 3
+    work = ad.size * bd.shape[-1] // GEMM_ELEM_MACS
 
     def bwd(g):
-        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
-        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
+        parts = _parts(work) if batched else 1
+        if parts == 1:
+            ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+            gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
+            return ga, gb
+        ga = np.empty(ad.shape, np.result_type(g, bd))
+        gb = np.empty(bd.shape, np.result_type(ad, g))
+
+        def part(lo, hi):
+            np.matmul(g[lo:hi], bd[lo:hi].swapaxes(-1, -2), out=ga[lo:hi])
+            np.matmul(ad[lo:hi].swapaxes(-1, -2), g[lo:hi], out=gb[lo:hi])
+
+        _split(parts, part, len(g))
         return ga, gb
 
-    return _make("matmul", (a, b), ad @ bd, bwd)
+    parts = _parts(work) if batched else 1
+    if parts == 1:
+        out = ad @ bd
+    else:
+        out = np.empty(ad.shape[:-1] + bd.shape[-1:], np.result_type(ad, bd))
+        _split(parts, lambda lo, hi: np.matmul(ad[lo:hi], bd[lo:hi], out=out[lo:hi]),
+               len(out))
+    return _make("matmul", (a, b), out, bwd)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
@@ -386,11 +606,11 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-x)) as 0.5*tanh(x/2) + 0.5, in one fresh buffer of x's
-    dtype. tanh saturates to +-1 instead of overflowing, so large |x| gives
-    exactly 0 or 1."""
-    s = np.multiply(x, 0.5)
+def _sigmoid_data(x: np.ndarray, out=None) -> np.ndarray:
+    """1/(1+exp(-x)) as 0.5*tanh(x/2) + 0.5, in ``out`` or one fresh buffer
+    of x's dtype. tanh saturates to +-1 instead of overflowing, so large |x|
+    gives exactly 0 or 1."""
+    s = np.multiply(x, 0.5, out=out)
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
@@ -412,20 +632,30 @@ def sigmoid(a: Tensor) -> Tensor:
 def swish(a: Tensor) -> Tensor:
     """Elementwise x * sigmoid(x)."""
     x = a.data
-    out = _sigmoid_data(x)
-    out *= x
+    out = _rows(_parts(x.size), _swish_data, x.dtype, x)
 
     def bwd(g):
-        # sigmoid(x) is recomputed here so that the forward fills one buffer
-        s = _sigmoid_data(x)
-        d = np.subtract(1.0, s, dtype=np.result_type(s, g))  # g * s * (1 + x*(1-s))
-        d *= x
-        d += 1.0
-        d *= s
-        d *= g
-        return (d,)
+        return (_rows(_parts(g.size), _swish_grad, np.result_type(x, g), x, g),)
 
     return _make("swish", (a,), out, bwd)
+
+
+def _swish_data(x: np.ndarray, out=None) -> np.ndarray:
+    out = _sigmoid_data(x, out)
+    out *= x
+    return out
+
+
+def _swish_grad(x: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+    """g * s * (1 + x*(1-s)), with s = sigmoid(x) recomputed here so that
+    the forward fills one buffer."""
+    s = _sigmoid_data(x)
+    d = np.subtract(1.0, s, out=out, dtype=np.result_type(s, g))
+    d *= x
+    d += 1.0
+    d *= s
+    d *= g
+    return d
 
 
 def _row_sum(u: np.ndarray) -> np.ndarray:
@@ -446,16 +676,25 @@ def softmax_rows(a: Tensor) -> Tensor:
     Every output row is nonnegative and sums to 1; adding a constant to a row
     leaves its softmax unchanged up to rounding of the shifted input.
     """
-    y = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= _row_sum(y)
+    y = _rows(_parts(a.size), _softmax_data, a.dtype, a.data)
 
     def bwd(g):
-        d = g - _row_dot(g, y)  # (g - <g, y>) * y
-        d *= y
-        return (d,)
+        return (_rows(_parts(g.size), _softmax_grad, np.result_type(g, y), g, y),)
 
     return _make("softmax", (a,), y, bwd)
+
+
+def _softmax_data(x: np.ndarray, out=None) -> np.ndarray:
+    y = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= _row_sum(y)
+    return y
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    d = np.subtract(g, _row_dot(g, y), out=out)  # (g - <g, y>) * y
+    d *= y
+    return d
 
 
 LN_EPS = 1e-5
@@ -470,24 +709,43 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} do not match feature dim {d}")
     xd, gdat = x.data, gamma.data
-    xhat = xd - _row_sum(xd) / d
-    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + LN_EPS)
-    xhat *= inv
-    out = xhat * gdat
-    out += beta.data
+    # the normalized rows and their 1/std, which the backward reads
+    xhat = np.empty(xd.shape, xd.dtype)
+    inv = np.empty(xd.shape[:-1] + (1,), xd.dtype)
+    out = _rows(_parts(xd.size), _layer_norm_data, np.result_type(xd, gdat),
+                xd, xhat, inv, gamma=gdat, beta=beta.data)
 
     def bwd(g):
         g2 = g.reshape(-1, d)
         dgamma = np.einsum("ni,ni->i", g2, xhat.reshape(-1, d))
         dbeta = g2.sum(axis=0)
-        dx = g * gdat  # dL/dxhat, then (dxhat - m1 - xhat*m2) * inv in place
-        m2 = _row_dot(dx, xhat) / d
-        dx -= _row_sum(dx) / d
-        dx -= xhat * m2
-        dx *= inv
+        dx = _rows(_parts(g.size), _layer_norm_grad, np.result_type(g, gdat),
+                   g, xhat, inv, gamma=gdat)
         return dx, dgamma, dbeta
 
     return _make("layer_norm", (x, gamma, beta), out, bwd)
+
+
+def _layer_norm_data(x, xhat, inv, out=None, *, gamma, beta) -> np.ndarray:
+    """Fill ``xhat`` and ``inv``; return (or fill) xhat * gamma + beta."""
+    d = x.shape[-1]
+    np.subtract(x, _row_sum(x) / d, out=xhat)
+    np.divide(1.0, np.sqrt(_row_dot(xhat, xhat) / d + LN_EPS), out=inv)
+    xhat *= inv
+    out = np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out
+
+
+def _layer_norm_grad(g, xhat, inv, out=None, *, gamma) -> np.ndarray:
+    """dL/dxhat = g * gamma, then (dxhat - m1 - xhat*m2) * inv in place."""
+    d = g.shape[-1]
+    dx = np.multiply(g, gamma, out=out)
+    m2 = _row_dot(dx, xhat) / d
+    dx -= _row_sum(dx) / d
+    dx -= xhat * m2
+    dx *= inv
+    return dx
 
 
 def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -536,28 +794,45 @@ def conv1d_depthwise(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
     out = np.empty(xd.shape, b.data.dtype)
     out[...] = b.data
     # Sum the K taps over slabs of whole samples, so that the running sum and
-    # the product stay in cache across the K passes.
+    # the product stay in cache across the K passes; each part of the
+    # samples sums over its own slabs.
     xp3 = xp.reshape((-1,) + xp.shape[-2:])
     out3 = out.reshape((-1,) + out.shape[-2:])
     rows = max(1, _SLAB_ELEMS // (t * c))
-    prod = np.empty((min(rows, len(out3)), t, c), dtype=out.dtype)
-    for i in range(0, len(out3), rows):
-        acc, src = out3[i:i + rows], xp3[i:i + rows]
-        buf = prod[:len(acc)]
-        for j in range(kk):
-            np.multiply(src[:, j:j + t], taps[j], out=buf)
-            acc += buf
+
+    def fwd_part(lo, hi):
+        prod = np.empty((min(rows, hi - lo), t, c), dtype=out.dtype)
+        for i in range(lo, hi, rows):
+            acc, src = out3[i:min(i + rows, hi)], xp3[i:min(i + rows, hi)]
+            buf = prod[:len(acc)]
+            for j in range(kk):
+                np.multiply(src[:, j:j + t], taps[j], out=buf)
+                acc += buf
+
+    _split(_parts(out.size), fwd_part, len(out3))
 
     def bwd(g):
         dxp = np.zeros_like(xp)
         dk = np.empty_like(kd)
-        lead = tuple(range(g.ndim - 1))
         g3 = g.reshape((-1, t, c))
-        for j in range(kk):
-            dxp[..., j:j + t, :] += g * taps[j]
-            dk[:, j] = np.einsum("btc,btc->c", g3, xp3[:, j:j + t])
+        dxp3 = dxp.reshape(xp3.shape)
+
+        def grad_part(lo, hi, first_tap, end_tap):
+            # dx of samples [lo, hi) and the taps [first_tap, end_tap) of dk,
+            # each tap a sum over every sample
+            for j in range(kk):
+                dxp3[lo:hi, j:j + t] += g3[lo:hi] * taps[j]
+            for j in range(first_tap, end_tap):
+                dk[:, j] = np.einsum("btc,btc->c", g3, xp3[:, j:j + t])
+
+        parts = min(_parts(g.size), len(g3), kk)
+        if parts > 1:
+            _run([partial(grad_part, *samples, *tap_cut) for samples, tap_cut
+                  in zip(_cuts(len(g3), parts), _cuts(kk, parts))])
+        else:
+            grad_part(0, len(g3), 0, kk)
         dx = np.ascontiguousarray(dxp[..., pad:pad + t, :])
-        db = g.sum(axis=lead)
+        db = g.sum(axis=tuple(range(g.ndim - 1)))
         return dx, dk, db
 
     return _make("conv1d_depthwise", (x, k, b), out, bwd)
@@ -576,13 +851,16 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> T
     c = x.dtype.type(1) / x.dtype.type(1.0 - p)
 
     def bwd(g):
-        d = g * keep
-        d *= c
-        return (d,)
+        return (_rows(_parts(g.size), _masked, g.dtype, g, keep, c=c),)
 
-    out = x.data * keep
-    out *= c
+    out = _rows(_parts(x.size), _masked, x.dtype, x.data, keep, c=c)
     return _make("dropout", (x,), out, bwd)
+
+
+def _masked(x: np.ndarray, keep: np.ndarray, out=None, *, c) -> np.ndarray:
+    out = np.multiply(x, keep, out=out)
+    out *= c
+    return out
 
 
 # ---------------------------------------------------------------------------
