@@ -30,8 +30,8 @@ from .encoder import (EncoderBlockParams, child, encoder_block_forward,
                       encoder_block_init, named, uniform_init)
 from .rng import SeedStream
 from .tensor import (ConfigError, ContractError, ParamStore, ShapeError,
-                     Tensor, add, cpu_workers, keep_ops_whole, matmul,
-                     mean_axis, recording, reshape, sigmoid, swish)
+                     Tensor, add, matmul, mean_axis, recording, reshape,
+                     run_on_cpus, sigmoid, swish)
 
 MAGIC = b"EENEDCK1"
 
@@ -132,28 +132,6 @@ def eval_block_rows(cfg: ModelConfig) -> int:
                EVAL_BLOCK_ELEMS // widest)
 
 
-def run_on_cpus(fn, items) -> None:
-    """Call ``fn`` on each of ``items`` on a pool of at most ``cpu_workers``
-    threads that lives for this call, or in the calling thread when there is
-    one worker or one item. The exception of the first failing item, in
-    ``items`` order, is re-raised once every thread has stopped; items not yet
-    started are then skipped. The pool's threads keep their tape ops whole,
-    so the items, not the ops, take the cores; items run in the calling
-    thread may split their ops."""
-    workers = min(cpu_workers(), len(items))
-    if workers <= 1:
-        for item in items:
-            fn(item)
-        return
-    # imported here: concurrent.futures pulls in logging (about 0.5 MB
-    # resident), which calls that never start a pool need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    # map yields in item order and cancels the queued items on an exception
-    with ThreadPoolExecutor(workers, initializer=keep_ops_whole) as pool:
-        list(pool.map(fn, items))
-
-
 def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
                         rng: np.random.Generator | None = None) -> Tensor:
     """Probabilities for a (B, t_in) batch of segments, returned as (B,).
@@ -166,11 +144,11 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
     encoder runs over blocks of ``eval_block_rows`` rows whose activations
     stay in cache; the probabilities match the row-by-row forward's to float
     rounding (BLAS may order a product's sums differently for another row
-    count). The blocks run on ``run_on_cpus``; each block computes what it
-    would serially and writes only its own rows, so the result is bitwise
-    the same for any number of threads. Taped or training forwards run the
-    whole batch in one pass, so the tape graph and the dropout stream do not
-    depend on the block size.
+    count). ``run_on_cpus`` cuts the blocks into ranges, one per CPU; each
+    block computes what it would serially and writes only its own rows, so
+    the result is bitwise the same for any number of threads. Taped or
+    training forwards run the whole batch in one pass, so the tape graph and
+    the dropout stream do not depend on the block size.
     """
     if x.ndim != 2 or x.shape[1] != m.config.t_in:
         raise ShapeError(
@@ -184,10 +162,11 @@ def model_forward_batch(m: EenedModel, x: Tensor, training: bool = False,
     rows = eval_block_rows(m.config)
     out = np.empty(x.shape[0], dtype=m.dtype)
 
-    def run_block(i: int) -> None:
-        out[i:i + rows] = _forward(m, Tensor(x.data[i:i + rows]), None).data
+    def run_blocks(lo: int, hi: int) -> None:
+        for i in range(lo * rows, min(hi * rows, len(out)), rows):
+            out[i:i + rows] = _forward(m, Tensor(x.data[i:i + rows]), None).data
 
-    run_on_cpus(run_block, range(0, len(out), rows))
+    run_on_cpus(run_blocks, math.ceil(len(out) / rows))
     return Tensor(out)
 
 
@@ -305,11 +284,11 @@ def load_checkpoint(path) -> EenedModel:
     trailing-byte check. Then the empty arrays of ``model_init(cfg,
     _draw=False)`` are released, and every parameter becomes a contiguous
     view of one float32 arena, so one parameter's ``.data`` keeps the whole
-    arena alive. The second pass splits the payloads by bytes, in file order,
-    into one part per ``cpu_workers`` thread (``run_on_cpus``). Each part
-    opens the file, reads its bytes straight into their views (byteswapped
-    in place on a big-endian host) and checks them with ``min`` and ``max``,
-    through which NaN and infinities propagate. So any header failure
+    arena alive. The second pass cuts the arena, and so the payloads in file
+    order, into ranges, one per CPU (``run_on_cpus``). Each part opens the
+    file, reads its bytes straight into their views (byteswapped in place on
+    a big-endian host) and checks them with ``min`` and ``max``, through
+    which NaN and infinities propagate. So any header failure
     (truncation, a wrong name or shape, trailing bytes) is raised before a
     non-finite value, and of two non-finite tensors the first in file order
     is named. A partly filled model is never returned, nor one whose parts
@@ -348,8 +327,7 @@ def load_checkpoint(path) -> EenedModel:
     for (_, tensor), shape, start, end in zip(params, shapes, starts, starts[1:]):
         tensor.data = arena[start:end].reshape(shape)
 
-    def read_part(part: tuple[int, int]) -> None:
-        lo, hi = part
+    def read_part(lo: int, hi: int) -> None:
         with open(path, "rb") as part_fh:
             if _identity(part_fh) != r.identity:
                 raise CheckpointError(f"{path}: replaced while being read")
@@ -367,7 +345,5 @@ def load_checkpoint(path) -> EenedModel:
                 if not (math.isfinite(view.min()) and math.isfinite(view.max())):
                     raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
 
-    parts = cpu_workers()
-    cuts = [arena.size * k // parts for k in range(parts + 1)]
-    run_on_cpus(read_part, list(zip(cuts, cuts[1:])))
+    run_on_cpus(read_part, arena.size)
     return m

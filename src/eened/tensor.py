@@ -16,8 +16,12 @@ on a pool of part threads started at the first split and kept. Each part
 writes only its own slice of an output the calling thread allocated, and no
 part cuts an axis that a result sums over, so a split op is bitwise the
 whole one. Parts run numpy only: the calling thread records every node and
-runs every closure. Below ``SPLIT_MIN_ELEMS``, with one CPU, or in a thread
-that already runs one per core (``keep_ops_whole``), an op runs whole.
+runs every closure. Below ``SPLIT_MIN_ELEMS``, with one CPU, or inside a
+part, an op runs whole. Independent items (the untaped eval forward's
+blocks, a checkpoint's payloads) run on the same threads (``run_on_cpus``).
+
+A tape belongs to the thread that entered it: only that thread's ops record
+on it, and only one tape may be active in the process at a time.
 """
 
 from __future__ import annotations
@@ -67,17 +71,11 @@ def cpu_workers() -> int:
 
 
 class _Local(threading.local):
-    whole = False  # True in a thread whose ops never split
+    whole = False  # True in a part thread, and in a thread running its part
+    tape: Optional["Tape"] = None  # the tape this thread entered
 
 
 _LOCAL = _Local()
-
-
-def keep_ops_whole() -> None:
-    """Mark the calling thread as one whose ops never split: threads that
-    already run one per core (a part thread, a ``run_on_cpus`` worker) would
-    otherwise multiply."""
-    _LOCAL.whole = True
 
 
 def _parts(work: int) -> int:
@@ -93,7 +91,7 @@ class _PartThread:
     """A daemon thread that runs the tasks handed to it one at a time, each
     under the floating-point error state of the thread that handed it over.
     Two locks hand a task over and back: 35 us a round trip (median), against
-    51 us through a ``ThreadPoolExecutor`` on the same 2-core box."""
+    51 us through a standard-library executor on the same 2-core box."""
 
     def __init__(self):
         self.start, self.done = threading.Lock(), threading.Lock()
@@ -103,7 +101,7 @@ class _PartThread:
         threading.Thread(target=self._loop, name="eened-part", daemon=True).start()
 
     def _loop(self) -> None:
-        keep_ops_whole()
+        _LOCAL.whole = True  # the parts of one split take the cores
         while True:
             self.start.acquire()
             try:
@@ -133,21 +131,23 @@ def _run(tasks: Sequence[Callable[[], None]]) -> None:
     """Run ``tasks[0]`` in the calling thread and each other task on its own
     part thread, and return when all have finished; the exception of the
     first failing task, in ``tasks`` order, is then re-raised. While another
-    thread's split holds the part threads, the tasks run here in order."""
-    if not _PARTS_BUSY.acquire(blocking=False):
-        for task in tasks:
-            task()
-        return
+    thread's split holds the part threads, the tasks all run here in order.
+    The calling thread runs its tasks with its ops whole."""
+    held = _PARTS_BUSY.acquire(blocking=False)
+    was_whole, _LOCAL.whole = _LOCAL.whole, True
     try:
-        while len(_PART_THREADS) < len(tasks) - 1:
-            _PART_THREADS.append(_PartThread())
-        threads = _PART_THREADS[:len(tasks) - 1]
+        threads = []
+        if held:
+            while len(_PART_THREADS) < len(tasks) - 1:
+                _PART_THREADS.append(_PartThread())
+            threads = _PART_THREADS[:len(tasks) - 1]
         errstate = np.geterr()
         for th, task in zip(threads, tasks[1:]):
             th.task, th.errstate, th.error = task, errstate, None
             th.start.release()
-        try:
-            tasks[0]()
+        try:  # tasks[0], or every task when another split holds the threads
+            for task in tasks[:len(tasks) - len(threads)]:
+                task()
         finally:
             for th in threads:
                 th.done.acquire()
@@ -156,7 +156,9 @@ def _run(tasks: Sequence[Callable[[], None]]) -> None:
             if error is not None:
                 raise error
     finally:
-        _PARTS_BUSY.release()
+        _LOCAL.whole = was_whole
+        if held:
+            _PARTS_BUSY.release()
 
 
 def _cuts(n: int, parts: int) -> list[tuple[int, int]]:
@@ -174,6 +176,18 @@ def _split(parts: int, fn: Callable[[int, int], None], n: int) -> None:
         fn(0, n)
     else:
         _run([partial(fn, lo, hi) for lo, hi in _cuts(n, parts)])
+
+
+def run_on_cpus(fn: Callable[[int, int], None], n: int) -> None:
+    """Call ``fn(lo, hi)`` on near-equal ranges of ``range(n)`` independent
+    items, one per CPU, as the parts of one split (``_run``): the ops inside
+    a range run whole, so the ranges, not the ops, take the cores. With one
+    range (one CPU, ``n`` <= 1, or a caller inside a part) this is ``fn(0,
+    n)`` in place, whose ops may split. When a range fails, those on the
+    part threads are not cancelled but run to their end; then the first
+    failing range's exception, which is the first failing item's, is
+    re-raised."""
+    _split(1 if _LOCAL.whole or n <= 1 else cpu_workers(), fn, n)
 
 
 def _rows(parts: int, kernel: Callable, dtype, *arrays: np.ndarray,
@@ -221,16 +235,19 @@ class _Node:
         self.leaf_tensor = leaf_tensor
 
 
-_ACTIVE: Optional["Tape"] = None
+# Held while a tape is active: leaf stamps on shared parameters (``_leaf_id``)
+# and the sweep's ``leaf.grad`` writes would race between two tapes.
+_TAPE_OPEN = threading.Lock()
 
 
 class Tape:
     """Append-only record of differentiable ops, used as a context manager.
 
-    Only one tape may be active at a time (single-writer: one training step
-    runs on one logical thread). An op that splits over the part threads
-    still records its one node from the calling thread; the parts only fill
-    arrays.
+    The tape belongs to the thread that entered it: only that thread's ops
+    record on it, and ops on other threads run untaped meanwhile. Only one
+    tape may be active in the process at a time. An op that splits over the
+    part threads still records its one node from the calling thread; the
+    parts only fill arrays.
     """
 
     def __init__(self):
@@ -238,21 +255,21 @@ class Tape:
         self.swept = False
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE
-        if _ACTIVE is not None:
+        if not _TAPE_OPEN.acquire(blocking=False):
             raise ContractError("a gradient tape is already active")
-        _ACTIVE = self
+        _LOCAL.tape = self
         return self
 
     def __exit__(self, *exc) -> bool:
-        global _ACTIVE
-        _ACTIVE = None
+        _LOCAL.tape = None
+        _TAPE_OPEN.release()
         return False
 
 
 def recording() -> bool:
-    """Whether a tape is active, so that ops record nodes."""
-    return _ACTIVE is not None
+    """Whether the calling thread has a tape active, so that its ops record
+    nodes."""
+    return _LOCAL.tape is not None
 
 
 def _leaf_id(tape: Tape, t: "Tensor") -> int:
@@ -267,9 +284,10 @@ def _leaf_id(tape: Tape, t: "Tensor") -> int:
 
 def _make(op: str, inputs: Sequence["Tensor"], out_data: np.ndarray,
           backward: Callable[[np.ndarray], tuple]) -> "Tensor":
-    """Wrap an op result and record it on the active tape, if any."""
+    """Wrap an op result and record it on the calling thread's tape, if
+    any."""
     out = Tensor(out_data)
-    tape = _ACTIVE
+    tape = _LOCAL.tape
     if tape is not None:
         ids = tuple(_leaf_id(tape, t) for t in inputs)
         tape.nodes.append(_Node(op, ids, backward))

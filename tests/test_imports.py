@@ -1,5 +1,6 @@
 """Every imported name is read: an unused import keeps a name alive in a
-grep for its callers, which is how dead code is found."""
+grep for its callers, which is how dead code is found. And the program runs
+on one thread pool, the part threads of ``eened.tensor``."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,40 @@ def test_no_unused_imports():
     found = {str(f.relative_to(ROOT)): unused_imports(f.read_text(encoding="utf-8"))
              for f in FILES}
     assert {f: names for f, names in found.items() if names} == {}
+
+
+def pool_uses(source: str) -> list[str]:
+    """Imports of a second pool module (``concurrent.futures``,
+    ``multiprocessing``) and uses of ``threading.Thread``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module == "threading" and "Thread" in {a.name for a in node.names}:
+                found.append("threading.Thread")
+        else:
+            if (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                    and isinstance(node.value, ast.Name) and node.value.id == "threading"):
+                found.append("threading.Thread")
+            continue
+        found += [m for m in modules
+                  if m.partition(".")[0] in ("concurrent", "multiprocessing")]
+    return found
+
+
+def test_scan_finds_a_second_pool():
+    assert pool_uses("def f():\n    from concurrent.futures import "
+                     "ThreadPoolExecutor\n") == ["concurrent.futures"]
+    assert pool_uses("import multiprocessing.pool\n") == ["multiprocessing.pool"]
+    assert pool_uses("import threading\nthreading.Thread(target=f)\n"
+                     "threading.Lock()\n") == ["threading.Thread"]
+    assert pool_uses("from threading import Lock, Thread\n") == ["threading.Thread"]
+
+
+def test_one_thread_pool():
+    found = {str(f.relative_to(ROOT)): pool_uses(f.read_text(encoding="utf-8"))
+             for f in sorted((ROOT / "src").rglob("*.py"))}
+    assert {f: uses for f, uses in found.items() if uses} == {
+        "src/eened/tensor.py": ["threading.Thread"]}

@@ -1,6 +1,5 @@
 """Model assembly, forward contracts, and checkpoint serialization."""
 
-import concurrent.futures
 import gc
 import itertools
 import os
@@ -18,13 +17,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import eened.model
+import eened.tensor
 from eened.config import ModelConfig, model_config_to_text
 from eened.model import (MAGIC, CheckpointError, CheckpointMagicError,
                          CheckpointShapeError, CheckpointTruncatedError,
-                         cpu_workers, eval_block_rows, load_checkpoint,
-                         model_forward_batch, model_init, named_parameters,
-                         save_checkpoint)
-from eened.tensor import ConfigError, ContractError, ShapeError, Tape, Tensor
+                         eval_block_rows, load_checkpoint, model_forward_batch,
+                         model_init, named_parameters, save_checkpoint)
+from eened.tensor import (ConfigError, ContractError, ShapeError, Tape, Tensor,
+                          cpu_workers)
 from eened.train import toy_model_config
 
 
@@ -188,7 +188,23 @@ def blocked_model(dtype="float32"):
 
 
 def pin_workers(monkeypatch, n):
-    monkeypatch.setattr(eened.model, "cpu_workers", lambda: n)
+    monkeypatch.setattr(eened.tensor, "cpu_workers", lambda: n)
+
+
+def no_part_threads(monkeypatch):
+    """Fail on any task handed to a part thread: none are left to take one,
+    and none may start."""
+    def no_thread():
+        raise AssertionError("a part thread was started")
+
+    monkeypatch.setattr(eened.tensor, "_PART_THREADS", [])
+    monkeypatch.setattr(eened.tensor, "_PartThread", no_thread)
+
+
+def assert_new_threads_are_part_threads(before, workers):
+    extra = set(threading.enumerate()) - before
+    assert len(extra) <= workers - 1
+    assert all(t.daemon and t.name == "eened-part" for t in extra)
 
 
 class TestBlockedEval:
@@ -309,7 +325,23 @@ class TestThreadedEval:
         before = set(threading.enumerate())
         with pytest.raises(FloatingPointError, match="block failed"):
             model_forward_batch(m, x)
-        assert set(threading.enumerate()) == before
+        assert_new_threads_are_part_threads(before, 4)
+        after = set(threading.enumerate())
+        calls = itertools.count()
+        with pytest.raises(FloatingPointError, match="block failed"):
+            model_forward_batch(m, x)
+        assert set(threading.enumerate()) == after
+
+    def test_blocks_run_under_the_callers_error_state(self, monkeypatch):
+        # the overflow is only in the second block, on a part thread
+        m = blocked_model()
+        x = np.random.default_rng(0).normal(
+            size=(32, m.config.t_in)).astype(np.float32)
+        x[16:] = 3e38
+        pin_workers(monkeypatch, 2)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                model_forward_batch(m, Tensor(x))
 
     def test_one_cpu_runs_every_block_in_the_calling_thread(self, monkeypatch):
         m = blocked_model()
@@ -321,11 +353,8 @@ class TestThreadedEval:
             threads.append(threading.get_ident())
             return real(h, *args)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was created")
-
         monkeypatch.setattr(eened.model, "encoder_block_forward", spy)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        no_part_threads(monkeypatch)
         pin_workers(monkeypatch, 1)
         model_forward_batch(m, x)
         assert threads == [threading.get_ident()] * 3
@@ -539,11 +568,8 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(toy_model(seed=27), path)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was created")
-
         with monkeypatch.context() as patch:
-            patch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+            no_part_threads(patch)
             pin_workers(patch, 1)
             serial = [t.data.tobytes() for _, t in
                       named_parameters(load_checkpoint(path))]
@@ -605,7 +631,11 @@ class TestCheckpoint:
         before = set(threading.enumerate())
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
-        assert set(threading.enumerate()) == before
+        assert_new_threads_are_part_threads(before, 2)
+        after = set(threading.enumerate())
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+        assert set(threading.enumerate()) == after
 
     def test_checkpoint_replaced_during_its_load_is_an_error(self, tmp_path,
                                                              monkeypatch):
@@ -616,9 +646,9 @@ class TestCheckpoint:
         save_checkpoint(toy_model(seed=2), other)
         inner = eened.model.run_on_cpus
 
-        def replace_first(fn, items):
+        def replace_first(fn, n):
             os.replace(other, path)
-            return inner(fn, items)
+            return inner(fn, n)
 
         monkeypatch.setattr(eened.model, "run_on_cpus", replace_first)
         with pytest.raises(CheckpointError,

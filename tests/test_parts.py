@@ -11,7 +11,6 @@ import warnings
 import numpy as np
 import pytest
 
-import eened.model
 import eened.tensor as T
 from eened.config import ModelConfig, TrainConfig
 from eened.model import model_forward_batch, model_init
@@ -26,7 +25,6 @@ NEVER, ALWAYS = 1 << 62, 0  # SPLIT_MIN_ELEMS that keeps every op whole / splits
 
 def pin_workers(monkeypatch, n):
     monkeypatch.setattr(T, "cpu_workers", lambda: n)
-    monkeypatch.setattr(eened.model, "cpu_workers", lambda: n)
 
 
 def count_splits(monkeypatch):
@@ -274,8 +272,9 @@ class TestPartThreads:
         splits = count_splits(monkeypatch)
         m = model_init(toy_model_config(t_in=128, n_blocks=1))
         x = Tensor(np.random.default_rng(0).normal(size=(37, 128)).astype(np.float32))
-        untaped = model_forward_batch(m, x).data  # 3 blocks on run_on_cpus
-        assert splits == []
+        untaped = model_forward_batch(m, x).data  # 3 blocks in 2 ranges
+        assert splits == [threading.get_ident()]  # the blocks' own split
+        splits.clear()
         with Tape():
             taped = model_forward_batch(m, x).data
         assert splits  # the same forward on the calling thread splits

@@ -1,6 +1,7 @@
 """Autodiff core: op semantics, shape checking, gradients, and the buffers
 a taped step runs in."""
 
+import threading
 import tracemalloc
 import weakref
 
@@ -146,6 +147,28 @@ class TestBackwardBasics:
             assert recording()  # the rejected tape leaves the outer one on
             assert add(x, x)._tape is outer
         assert not recording()
+
+    def test_only_the_thread_that_entered_a_tape_records_on_it(self):
+        # another thread's untaped op put ['leaf', 'swish'] on this tape
+        seen = []
+
+        def other():
+            seen.append(recording())
+            seen.append(swish(Tensor(rand(3)))._tape)
+            try:
+                with Tape():
+                    pass
+            except ContractError:
+                seen.append("rejected")
+
+        with Tape() as tape:
+            runner = threading.Thread(target=other)
+            runner.start()
+            runner.join(timeout=60)
+            assert recording()
+        assert not runner.is_alive()
+        assert tape.nodes == []
+        assert seen == [False, None, "rejected"]
 
     def test_tape_ends_when_its_block_raises(self):
         x = Tensor(rand(3), requires_grad=True)
