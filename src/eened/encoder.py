@@ -23,8 +23,8 @@ from .config import ModelConfig
 from .rng import SeedStream
 from .tensor import (Tensor, add, concat_last, conv1d_depthwise,
                      conv1d_pointwise, dropout, layer_norm, matmul, mul,
-                     scale, sigmoid, slice_last, softmax_rows, swish,
-                     transpose_last2)
+                     run_on_cpus, scale, sigmoid, slice_last, softmax_rows,
+                     swish, transpose_last2)
 
 
 def uniform_init(stream: Optional[SeedStream], shape: tuple[int, ...],
@@ -161,10 +161,21 @@ def mhsa_forward(x: Tensor, p: MhsaParams, cfg: ModelConfig,
     C_h = A_h V_h; the concatenated heads go through the output projection and
     dropout. Returns the branch value only: the caller adds the residual. No
     positional encoding, so the map is timestep-permutation-equivariant.
+
+    The heads are independent items of ``run_on_cpus``: an untaped forward
+    outside a part (one segment, a single block) computes them on the part
+    threads, and a taped one records them in head order on its own thread.
+    Each head's ops are the same either way, so the output is bitwise the
+    same.
     """
     xn = layer_norm(x, p.ln_gamma, p.ln_beta)
-    heads = [matmul(_attention(xn, qh, kh, cfg), matmul(xn, vh))
-             for qh, kh, vh in zip(p.q, p.k, p.v)]
+    heads = [None] * len(p.q)
+
+    def run_heads(lo: int, hi: int) -> None:
+        for h in range(lo, hi):
+            heads[h] = matmul(_attention(xn, p.q[h], p.k[h], cfg), matmul(xn, p.v[h]))
+
+    run_on_cpus(run_heads, len(heads))
     out = matmul(concat_last(heads), p.o)
     return dropout(out, cfg.dropout_p, rng)
 

@@ -15,13 +15,18 @@ gradient sums of the sweep) splits its numpy work into parts, one per CPU,
 on a pool of part threads started at the first split and kept. Each part
 writes only its own slice of an output the calling thread allocated, and no
 part cuts an axis that a result sums over, so a split op is bitwise the
-whole one. Parts run numpy only: the calling thread records every node and
-runs every closure. Below ``SPLIT_MIN_ELEMS``, with one CPU, or inside a
-part, an op runs whole. Independent items (the untaped eval forward's
-blocks, a checkpoint's payloads) run on the same threads (``run_on_cpus``).
+whole one. A part cuts rows, except in a weight product whose weight is the
+larger operand: there it cuts the output columns on multiples of
+``GEMM_COL_BLOCK``, so each core reads only its share of the weight. Parts
+run numpy only: the calling thread records every node and runs every
+closure. Below ``SPLIT_MIN_ELEMS``, with one CPU, or inside a part, an op
+runs whole. Independent items (the untaped eval forward's blocks, a single
+untaped block's attention heads, a checkpoint's payloads) run on the same
+threads (``run_on_cpus``).
 
 A tape belongs to the thread that entered it: only that thread's ops record
-on it, and only one tape may be active in the process at a time.
+on it, and only one tape may be active in the process at a time. So a
+thread that records runs its items in place, in order.
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ class ContractError(RuntimeError):
 # (890, 64) @ (64, 64) product made it slower on a 2-core box.
 SPLIT_MIN_ELEMS = 1 << 18
 GEMM_ELEM_MACS = 32
+# A weight product cut by output columns cuts them on multiples of this, and
+# only when its column count is one. In float64, a (178, 512) @ (512, 2048)
+# product cut into thirds elsewhere changed its bits, and so did a product
+# of 513 columns cut on multiples of 64 (OpenBLAS 0.3.31).
+GEMM_COL_BLOCK = 64
 
 
 def cpu_workers() -> int:
@@ -183,11 +193,14 @@ def run_on_cpus(fn: Callable[[int, int], None], n: int) -> None:
     items, one per CPU, as the parts of one split (``_run``): the ops inside
     a range run whole, so the ranges, not the ops, take the cores. With one
     range (one CPU, ``n`` <= 1, or a caller inside a part) this is ``fn(0,
-    n)`` in place, whose ops may split. When a range fails, those on the
-    part threads are not cancelled but run to their end; then the first
-    failing range's exception, which is the first failing item's, is
-    re-raised."""
-    _split(1 if _LOCAL.whole or n <= 1 else cpu_workers(), fn, n)
+    n)`` in place, whose ops may split. A caller that is recording a tape
+    also runs ``fn(0, n)`` in place: ops on a part thread would not record
+    on its tape, and in place its items record in item order. When a range
+    fails, those on the part threads are not cancelled but run to their end;
+    then the first failing range's exception, which is the first failing
+    item's, is re-raised."""
+    in_place = _LOCAL.whole or _LOCAL.tape is not None or n <= 1
+    _split(1 if in_place else cpu_workers(), fn, n)
 
 
 def _rows(parts: int, kernel: Callable, dtype, *arrays: np.ndarray,
@@ -451,7 +464,14 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. Rank-2 or rank-3 operands; leading (batch) axes follow
-    numpy broadcasting, inner extents must match."""
+    numpy broadcasting, inner extents must match.
+
+    A large weight product ((..., K) @ (K, N)) cuts the rows of its folded
+    input into parts, one per CPU. When the weight has more elements than
+    that input and N is a multiple of ``GEMM_COL_BLOCK``, it cuts the
+    output columns instead, on multiples of ``GEMM_COL_BLOCK``: each part
+    then reads only its own columns of the weight. The backward cuts dx by
+    rows and dW by columns either way."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands: {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -489,8 +509,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             out = a2 @ bd
         else:
             out = np.empty((len(a2), bd.shape[1]), np.result_type(ad, bd))
-            _split(parts, lambda lo, hi: np.matmul(a2[lo:hi], bd, out=out[lo:hi]),
-                   len(a2))
+            if bd.size > a2.size and bd.shape[1] % GEMM_COL_BLOCK == 0:
+                # the weight is the larger operand: cut its columns, so each
+                # part reads only its own share of it
+
+                def cols(lo, hi):
+                    c = slice(lo * GEMM_COL_BLOCK, hi * GEMM_COL_BLOCK)
+                    np.matmul(a2, bd[:, c], out=out[:, c])
+
+                _split(parts, cols, bd.shape[1] // GEMM_COL_BLOCK)
+            else:
+                _split(parts, lambda lo, hi: np.matmul(a2[lo:hi], bd, out=out[lo:hi]),
+                       len(a2))
         return _make("matmul", (a, b), out.reshape(ad.shape[:-1] + bd.shape[1:]), bwd)
 
     # A batched product (attention scores, A.V) splits by batch.

@@ -354,14 +354,15 @@ class TestThreadedEval:
             return real(h, *args)
 
         monkeypatch.setattr(eened.model, "encoder_block_forward", spy)
+        pin_workers(monkeypatch, 4)
+        # one block runs here; its heads may go to the part threads
+        model_forward_batch(m, Tensor(x.data[:5]))
+        assert threads == [threading.get_ident()]
+        threads.clear()
         no_part_threads(monkeypatch)
         pin_workers(monkeypatch, 1)
         model_forward_batch(m, x)
         assert threads == [threading.get_ident()] * 3
-        threads.clear()
-        pin_workers(monkeypatch, 4)
-        model_forward_batch(m, Tensor(x.data[:5]))  # one block
-        assert threads == [threading.get_ident()]
 
 
 class TestCheckpoint:

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -74,6 +75,9 @@ CASES = {
     "weight-matmul-default-pwff-in": (matmul, [(1, 178, 512), (512, 2048)]),
     "weight-matmul-default-pwff-out": (matmul, [(1, 178, 2048), (2048, 512)]),
     "weight-matmul-default-head": (matmul, [(1, 178, 512), (512, 64)]),
+    # the default model's B=8 training step: the weight is the larger
+    # operand, so the forward cuts its columns
+    "weight-matmul-default-b8-pwff-in": (matmul, [(8, 178, 512), (512, 2048)]),
     "batched-matmul-desk-scores": (matmul, [(32, 178, 16), (32, 16, 178)]),
     "batched-matmul-desk-av": (matmul, [(32, 178, 178), (32, 178, 16)]),
     "batched-matmul-default-scores": (matmul, [(1, 178, 64), (1, 64, 178)]),
@@ -112,20 +116,49 @@ def test_split_op_equals_whole_bitwise(monkeypatch, name, dtype):
         assert_bitwise(got, want)
 
 
-@pytest.mark.parametrize("workers", [3, 4])
-@pytest.mark.parametrize("name", ["weight-matmul-desk-pwff-in",
-                                  "weight-matmul-default-pwff-out",
-                                  "depthwise-desk", "softmax-desk"])
-def test_more_parts_than_cores_equal_whole_bitwise(monkeypatch, name, workers):
+def assert_more_parts_equal_whole(monkeypatch, name, workers, dtype):
     op, shapes = CASES[name]
     rng = np.random.default_rng(0)
-    arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
     pin_workers(monkeypatch, 1)
     whole = forward_backward(op, arrays)
     pin_workers(monkeypatch, workers)
     monkeypatch.setattr(T, "SPLIT_MIN_ELEMS", ALWAYS)
     for got, want in zip(forward_backward(op, arrays), whole):
         assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("workers", [3, 4])
+@pytest.mark.parametrize("name", ["weight-matmul-desk-pwff-in",
+                                  "weight-matmul-default-pwff-in",
+                                  "weight-matmul-default-pwff-out",
+                                  "depthwise-desk", "softmax-desk"])
+def test_more_parts_than_cores_equal_whole_bitwise(monkeypatch, name, workers):
+    assert_more_parts_equal_whole(monkeypatch, name, workers, np.float32)
+
+
+@pytest.mark.parametrize("workers", [3, 4])
+@pytest.mark.parametrize("name", ["weight-matmul-default-pwff-in",
+                                  "weight-matmul-default-pwff-out"])
+def test_float64_column_parts_equal_whole_bitwise(monkeypatch, name, workers):
+    # cut into thirds elsewhere than on multiples of 64 columns, the float64
+    # (178, 512) @ (512, 2048) product changed its bits
+    assert_more_parts_equal_whole(monkeypatch, name, workers, np.float64)
+
+
+def test_odd_column_count_keeps_the_row_cut(monkeypatch):
+    # the weight outweighs the input, but 513 columns are no multiple of 64:
+    # cut into 64-column parts at 4 workers the product differed by 3.9e-14.
+    # Its row cut differs from the whole product too (7.8e-14 in float64),
+    # so the guard is that the split gives the row parts' bits.
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(178, 512)), rng.normal(size=(512, 513))
+    pin_workers(monkeypatch, 4)
+    splits = count_splits(monkeypatch)
+    got = matmul(Tensor(a), Tensor(b)).data
+    assert splits
+    want = np.concatenate([a[lo:hi] @ b for lo, hi in T._cuts(178, 4)])
+    assert_bitwise(got, want)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -190,6 +223,115 @@ def test_split_op_records_one_node_from_the_calling_thread(monkeypatch):
             swish(x)
         nodes.append([(n.op, n.inputs) for n in tape.nodes])
     assert nodes[0] == nodes[1] == [("leaf", ()), ("swish", (0,))]
+
+
+def test_a_recording_caller_runs_its_items_in_place(monkeypatch):
+    # a tape records only its own thread's ops, so items run on a part
+    # thread would be missing from it
+    pin_workers(monkeypatch, 2)
+    x = Tensor(np.ones((4, 8), np.float32), requires_grad=True)
+    items = []
+
+    def fn(lo, hi):
+        items.extend((i, threading.get_ident(), swish(x)) for i in range(lo, hi))
+
+    with Tape() as tape:
+        T.run_on_cpus(fn, 4)
+    assert [n.op for n in tape.nodes] == ["leaf"] + ["swish"] * 4
+    assert [i for i, _, _ in items] == [0, 1, 2, 3]
+    assert {t for _, t, _ in items} == {threading.get_ident()}
+    assert [y._tape_id for _, _, y in items] == [1, 2, 3, 4]
+
+
+def count_heads_threads(monkeypatch):
+    """Record the thread of every task of a split that runs attention heads
+    (``mhsa_forward``'s ``run_heads``)."""
+    threads = []
+    real = T._run
+
+    def spy(tasks):
+        def traced(task):
+            def run():
+                if task.func.__name__ == "run_heads":
+                    threads.append(threading.get_ident())
+                return task()
+            return run
+        return real([traced(t) if isinstance(t, partial) else t for t in tasks])
+
+    monkeypatch.setattr(T, "_run", spy)
+    return threads
+
+
+def heads_model():
+    # 4 heads; the (128, 256) pwff weight outweighs a (64, 128) segment, so
+    # its products cut columns once every op splits
+    return model_init(ModelConfig(d_model=128, n_heads=4, n_blocks=1, d_pwff=256,
+                                  t_in=64, classifier_hidden=8, seed=9))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_one_segment_heads_on_the_part_threads_are_bitwise_equal(monkeypatch, dtype):
+    m = heads_model()
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 64)).astype(dtype))
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMS", ALWAYS)
+    threads = count_heads_threads(monkeypatch)
+    probs = {}
+    for workers in (1, 2, 3):
+        pin_workers(monkeypatch, workers)
+        threads.clear()
+        probs[workers] = model_forward_batch(m, x).data
+        if workers == 1:
+            assert threads == []  # one CPU: the heads run in place
+        else:
+            assert set(threads) - {threading.get_ident()}  # a part thread ran heads
+    for workers in (2, 3):
+        assert_bitwise(probs[workers], probs[1])
+
+
+def test_taped_heads_record_as_on_one_worker(monkeypatch):
+    m = heads_model()
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 64)).astype(np.float32))
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMS", ALWAYS)
+    threads = count_heads_threads(monkeypatch)
+    ops = []
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        with Tape() as tape:
+            model_forward_batch(m, x)
+        ops.append([n.op for n in tape.nodes])
+    assert threads == []  # no head left the calling thread
+    assert ops[1] == ops[0]
+    assert ops[0].count("softmax") == 4
+
+
+def assert_same_bits_from_threads_at_once(monkeypatch, compute):
+    """Three threads call ``compute`` 10 times each, at once, with more
+    parts than cores and every op split; each result must be bitwise the
+    one-CPU result."""
+    pin_workers(monkeypatch, 1)
+    whole = compute()
+    pin_workers(monkeypatch, (os.cpu_count() or 1) + 2)
+    monkeypatch.setattr(T, "SPLIT_MIN_ELEMS", ALWAYS)
+    results = []
+
+    def run():
+        results.extend(compute() for _ in range(10))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runners = [threading.Thread(target=run) for _ in range(2)]
+        for r in runners:
+            r.start()
+        run()
+        for r in runners:
+            r.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(r.is_alive() for r in runners)
+    assert len(results) == 30
+    for got in results:
+        assert_bitwise(got, whole)
 
 
 class TestPartThreads:
@@ -285,31 +427,15 @@ class TestPartThreads:
         # the part threads, the others run their parts themselves, and a
         # part written to the wrong rows changes the result (untaped: the
         # tape is single-writer)
-        pin_workers(monkeypatch, (os.cpu_count() or 1) + 2)
         x = Tensor(self.big_swish()[1][0])
-        monkeypatch.setattr(T, "SPLIT_MIN_ELEMS", NEVER)
-        whole = swish(x).data
-        monkeypatch.setattr(T, "SPLIT_MIN_ELEMS", ALWAYS)
-        results = []
+        assert_same_bits_from_threads_at_once(monkeypatch, lambda: swish(x).data)
 
-        def run():
-            results.extend(swish(x).data for _ in range(10))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runners = [threading.Thread(target=run) for _ in range(2)]
-            for r in runners:
-                r.start()
-            run()
-            for r in runners:
-                r.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(r.is_alive() for r in runners)
-        assert len(results) == 30
-        for got in results:
-            assert_bitwise(got, whole)
+    def test_one_segment_forwards_at_once_under_fast_switching(self, monkeypatch):
+        # as above, and a head stored in another head's slot changes the result
+        m = heads_model()
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 64)).astype(np.float32))
+        assert_same_bits_from_threads_at_once(
+            monkeypatch, lambda: model_forward_batch(m, x).data)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_splits_on_its_own_threads(self, monkeypatch):
